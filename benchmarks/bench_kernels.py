@@ -1,16 +1,18 @@
 """Compare the numba and pure-numpy kernel backends.
 
 The backend is chosen at import time from ``ANCHORSCHED_BACKEND``, so each
-measurement runs in a fresh subprocess with the flag set.  Workloads cover
-every accelerated kernel family through public entry points:
+measurement runs in a fresh subprocess with the flag set; a backend that
+cannot be loaded (numba not installed) is reported and left out of the table.
+Workloads cover every accelerated kernel family through public entry points:
 
-* nominal longest paths (box worst case) — DAG sweeps,
-* budgeted worst case — the per-source budget recursion,
-* partitioned worst case — the mixed-radix budget recursion,
-* relaxation bound — the dense simplex phases,
+* box worst case — the all-sources sweep with one state,
+* budgeted worst case — the sweep over (node, used budget) states,
+* partitioned worst case — the sweep over mixed-radix budget vectors,
+* relaxation bound — the dense simplex phases (and the two sweeps of L0, LD),
 * exhaustive optimum — the subset makespan scan.
 
-Run ``python3 benchmarks/bench_kernels.py`` from the repository root.
+Run ``PYTHONPATH=src python3 benchmarks/bench_kernels.py`` from the
+repository root.
 """
 
 from __future__ import annotations

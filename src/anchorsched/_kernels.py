@@ -3,11 +3,20 @@
 Each kernel has a loop implementation (numba-compiled when the numba backend is
 active) and a vectorized pure-numpy twin.  ``_backend`` decides which build is
 bound to the public name.  Both builds use the same tolerances and tie-breaking
-so results are identical across backends.
+so results are identical across backends; ``tests/test_kernels.py`` runs every
+loop build as plain Python against its twin.  The kernels:
+
+* ``sweep`` — one topological pass that fills the longest-path values of a
+  block of sources over a block of budget states.  Every path matrix goes
+  through it: nominal and box (one state), budgeted ((node, used budget)
+  states) and partitioned (mixed-radix budget vectors).
+* ``run_phase`` — one phase of the dense tableau simplex.
+* ``mask_makespans`` / ``scan_best`` — worst-case makespans of anchored
+  subsets given as bitmasks, for the exhaustive optimum.
 
 Graph kernels work on a CSR layout of incoming arcs: for node ``v`` the arcs
-ending at ``v`` occupy ``in_src[in_ptr[v]:in_ptr[v+1]]`` (tail node ids) with a
-parallel weight array.  ``topo`` is a topological order of all nodes.
+ending at ``v`` occupy ``in_src[in_ptr[v]:in_ptr[v+1]]`` (tail node ids) with
+parallel weight arrays.  ``topo`` is a topological order of all nodes.
 """
 
 from __future__ import annotations
@@ -17,129 +26,100 @@ import numpy as np
 from ._backend import USE_NUMBA, jit
 
 NEG = -np.inf
+_max = np.maximum
 
 # ---------------------------------------------------------------------------
-# single-source longest path (DAG sweep)
+# DAG sweep over a block of sources and budget states
 # ---------------------------------------------------------------------------
+# val[v, i, st] is the longest path from sources[i] to v that ends in budget
+# state st.  States are mixed-radix budget vectors: group_of[u] is the budget
+# group of tail u (-1: arcs out of u never deviate), digit g of state st is
+# (st // stride[g]) % radix[g], the budget of group g spent so far, and
+# radix[g] = gamma_g + 1.  An arc (u, v) keeps the state at its nominal weight,
+# or, when u has a group whose digit is below its cap, raises that digit by
+# one at its deviated weight.  With no groups (empty stride) there is one
+# state, and the sweep is a plain longest-path pass from every source.
 
 
-def _longest_from_loop(n_nodes, topo, in_ptr, in_src, in_wt, source):
-    dist = np.full(n_nodes, NEG)
-    dist[source] = 0.0
-    for idx in range(n_nodes):
-        v = topo[idx]
-        best = dist[v]
-        for k in range(in_ptr[v], in_ptr[v + 1]):
-            cand = dist[in_src[k]] + in_wt[k]
-            if cand > best:
-                best = cand
-        dist[v] = best
-    return dist
-
-
-def _longest_from_vec(n_nodes, topo, in_ptr, in_src, in_wt, source):
-    dist = np.full(n_nodes, NEG)
-    dist[source] = 0.0
-    for v in topo:
-        lo, hi = in_ptr[v], in_ptr[v + 1]
-        if hi > lo:
-            cand = np.max(dist[in_src[lo:hi]] + in_wt[lo:hi])
-            if cand > dist[v]:
-                dist[v] = cand
-    return dist
-
-
-# ---------------------------------------------------------------------------
-# budgeted worst-case DP: states (node, used budget)
-# ---------------------------------------------------------------------------
-
-
-def _budgeted_from_loop(n_nodes, topo, in_ptr, in_src, wt_nom, wt_dev, source, gamma):
-    val = np.full((n_nodes, gamma + 1), NEG)
-    val[source, 0] = 0.0
-    for idx in range(n_nodes):
-        v = topo[idx]
-        for k in range(in_ptr[v], in_ptr[v + 1]):
-            u = in_src[k]
-            for g in range(gamma + 1):
-                c = val[u, g] + wt_nom[k]
-                if c > val[v, g]:
-                    val[v, g] = c
-                if g < gamma:
-                    c = val[u, g] + wt_dev[k]
-                    if c > val[v, g + 1]:
-                        val[v, g + 1] = c
-    return val
-
-
-def _budgeted_from_vec(n_nodes, topo, in_ptr, in_src, wt_nom, wt_dev, source, gamma):
-    val = np.full((n_nodes, gamma + 1), NEG)
-    val[source, 0] = 0.0
-    for v in topo:
-        lo, hi = in_ptr[v], in_ptr[v + 1]
-        if hi > lo:
-            block = val[in_src[lo:hi], :]
-            best = np.max(block + wt_nom[lo:hi, None], axis=0)
-            if gamma >= 1:
-                dev = np.max(block[:, :-1] + wt_dev[lo:hi, None], axis=0)
-                np.maximum(best[1:], dev, out=best[1:])
-            np.maximum(val[v], best, out=val[v])
-    return val
-
-
-# ---------------------------------------------------------------------------
-# partition-budgeted DP: states are mixed-radix budget vectors
-# ---------------------------------------------------------------------------
-# group_of[u] is the budget group of node u (-1 for s and t), stride/radix give
-# the mixed-radix layout: digit g of state st is (st // stride[g]) % radix[g],
-# radix[g] = gamma_g + 1.
-
-
-def _partition_from_loop(
-    n_nodes, topo, in_ptr, in_src, wt_nom, wt_dev, group_of, stride, radix, n_states, source
+def _sweep_loop(
+    topo, in_ptr, in_src, wt_nom, wt_dev, group_of, stride, radix, n_states, sources
 ):
-    val = np.full((n_nodes, n_states), NEG)
-    val[source, 0] = 0.0
+    n_nodes = len(topo)
+    n_src = len(sources)
+    val = np.full((n_nodes, n_src, n_states), NEG)
+    for i in range(n_src):
+        val[sources[i], i, 0] = 0.0
     for idx in range(n_nodes):
         v = topo[idx]
         for k in range(in_ptr[v], in_ptr[v + 1]):
             u = in_src[k]
+            for i in range(n_src):
+                for st in range(n_states):
+                    c = val[u, i, st] + wt_nom[k]
+                    if c > val[v, i, st]:
+                        val[v, i, st] = c
             g = group_of[u]
-            for st in range(n_states):
-                c = val[u, st] + wt_nom[k]
-                if c > val[v, st]:
-                    val[v, st] = c
             if g >= 0:
                 sg = stride[g]
                 rg = radix[g]
-                for st in range(n_states):
-                    if (st // sg) % rg < rg - 1:
-                        c = val[u, st] + wt_dev[k]
-                        if c > val[v, st + sg]:
-                            val[v, st + sg] = c
+                for i in range(n_src):
+                    for st in range(n_states):
+                        if (st // sg) % rg < rg - 1:
+                            c = val[u, i, st] + wt_dev[k]
+                            if c > val[v, i, st + sg]:
+                                val[v, i, st + sg] = c
     return val
 
 
-def _partition_from_vec(
-    n_nodes, topo, in_ptr, in_src, wt_nom, wt_dev, group_of, stride, radix, n_states, source
+def _sweep_vec(
+    topo, in_ptr, in_src, wt_nom, wt_dev, group_of, stride, radix, n_states, sources
 ):
-    states = np.arange(n_states)
-    can_add = [
-        ((states // stride[g]) % radix[g]) < radix[g] - 1 for g in range(len(stride))
-    ]
-    targets = [states[can_add[g]] + stride[g] for g in range(len(stride))]
-    val = np.full((n_nodes, n_states), NEG)
-    val[source, 0] = 0.0
-    shifted = np.empty(n_states)
-    for v in topo:
-        for k in range(in_ptr[v], in_ptr[v + 1]):
-            u = in_src[k]
-            np.maximum(val[v], val[u] + wt_nom[k], out=val[v])
-            g = group_of[u]
+    n_nodes = len(topo)
+    n_src = len(sources)
+    val = np.full((n_nodes, n_src, n_states), NEG)
+    val[sources, np.arange(n_src), 0] = 0.0
+    ptr = in_ptr.tolist()
+    if len(stride) == 0 and n_src == 1:
+        # one value per node: scalar compares beat row updates here
+        dist = val.reshape(n_nodes)
+        for v in topo.tolist():
+            lo, hi = ptr[v], ptr[v + 1]
+            if hi > lo:
+                c = _max.reduce(dist[in_src[lo:hi]] + wt_nom[lo:hi])
+                if c > dist[v]:
+                    dist[v] = c
+        return val
+    # segs[v] lists the (start, stop, shape) of each group's slice of the arcs
+    # into v; digit g is axis 3 of a state block viewed as shape
+    # (n_src, outer, radix[g], stride[g]), so the shift raises that axis by one
+    segs = [[] for _ in range(n_nodes)]
+    if len(stride):
+        head = np.repeat(np.arange(n_nodes), np.diff(in_ptr))
+        grp = group_of[in_src]
+        order = np.lexsort((grp, head))  # arcs of one group become one slice
+        in_src, grp = in_src[order], grp[order]
+        wt_nom, wt_dev = wt_nom[order], wt_dev[order]
+        runs = np.flatnonzero((np.diff(head) != 0) | (np.diff(grp) != 0)) + 1
+        bounds = np.concatenate(([0], runs, [len(order)])).tolist()
+        for a, b in zip(bounds[:-1], bounds[1:]):
+            g = int(grp[a])
             if g >= 0:
-                shifted.fill(NEG)
-                shifted[targets[g]] = val[u][can_add[g]] + wt_dev[k]
-                np.maximum(val[v], shifted, out=val[v])
+                rg, sg = int(radix[g]), int(stride[g])
+                segs[head[a]].append((a, b, (n_src, n_states // (rg * sg), rg, sg)))
+    wt_nom = wt_nom[:, None, None]
+    wt_dev = wt_dev[:, None, None, None, None]
+    for v in topo.tolist():
+        lo, hi = ptr[v], ptr[v + 1]
+        if hi == lo:
+            continue
+        block = val[in_src[lo:hi]]
+        acc = _max.reduce(block + wt_nom[lo:hi])
+        for a, b, shape in segs[v]:
+            part = block[a - lo : b - lo].reshape((b - a,) + shape)[:, :, :, :-1]
+            up = acc.reshape(shape)[:, :, 1:]
+            _max(up, _max.reduce(part + wt_dev[a:b]), out=up)
+        row = val[v]
+        _max(row, acc, out=row)
     return val
 
 
@@ -360,16 +340,12 @@ def _scan_best_loop(
 
 
 if USE_NUMBA:
-    longest_from = jit(_longest_from_loop)
-    budgeted_from = jit(_budgeted_from_loop)
-    partition_from = jit(_partition_from_loop)
+    sweep = jit(_sweep_loop)
     run_phase = jit(_run_phase_loop)
     mask_makespans = jit(_mask_makespans_loop)
     scan_best = jit(_scan_best_loop)
 else:
-    longest_from = _longest_from_vec
-    budgeted_from = _budgeted_from_vec
-    partition_from = _partition_from_vec
+    sweep = _sweep_vec
     run_phase = _run_phase_vec
     mask_makespans = _mask_makespans_vec
     scan_best = None  # brute force derives the best from mask_makespans blocks
@@ -383,14 +359,12 @@ def warm_up():
     in_ptr = np.array([0, 0, 1, 2], dtype=np.int64)
     in_src = np.array([0, 1], dtype=np.int64)
     wt = np.array([0.0, 1.0])
-    longest_from(3, topo, in_ptr, in_src, wt, 0)
-    budgeted_from(3, topo, in_ptr, in_src, wt, wt, 0, 1)
-    partition_from(
-        3, topo, in_ptr, in_src, wt, wt,
+    sweep(
+        topo, in_ptr, in_src, wt, wt,
         np.array([-1, 0, -1], dtype=np.int64),
         np.array([1], dtype=np.int64),
         np.array([2], dtype=np.int64),
-        2, 0,
+        2, np.array([0, 1], dtype=np.int64),
     )
     T = np.array([[1.0, 1.0, 1.0], [-1.0, 0.0, 0.0]])
     run_phase(T, np.array([1], dtype=np.int64), np.array([True, True]), 1000, 10, 1e-7, 1e-9)

@@ -2,7 +2,9 @@
 
 Exit codes: 0 on success, 2 when the instance (or a checked solution) is
 infeasible, 3 when a requested method does not support the instance, 4 on
-parse errors in files, labels, or command lines.
+parse errors in files, labels, or command lines, 5 when the LP engine fails
+numerically (``NumericalFailure``, e.g. a node LP hits its pivot limit).
+``bench`` records such a failure as the status of that run and goes on.
 
 The benchmark core is importable (``bench_paths`` / ``aggregate_bench``) so
 tests and scripts can run the same pipeline without spawning a process.
@@ -31,6 +33,7 @@ from .errors import (
     InfeasibleAnchoredSet,
     InstanceTooLarge,
     NotCritical,
+    NumericalFailure,
     ParseError,
     UnsupportedInstance,
     UnsupportedUncertainty,
@@ -64,6 +67,7 @@ _EXIT_OK = 0
 _EXIT_INFEASIBLE = 2
 _EXIT_UNSUPPORTED = 3
 _EXIT_PARSE = 4
+_EXIT_NUMERICAL = 5
 
 
 class _Parser(argparse.ArgumentParser):
@@ -124,9 +128,9 @@ def _solve_one(
 ) -> SolutionReport:
     from .exact import _report_mip  # uniform record shape
 
-    work = preprocess_deadline(inst)
-    if method == "auto":
+    if method == "auto":  # solve_auto preprocesses the deadline itself
         return solve_auto(inst, params, chvatal=chvatal, cuts=cuts)
+    work = preprocess_deadline(inst)
     if method == "brute":
         return solve_brute(work)
     if method == "dom" and cuts:
@@ -233,6 +237,7 @@ def bench_task(
         EnumerationTooLarge,
         NotCritical,
         DeadlineInfeasible,
+        NumericalFailure,
     ) as exc:
         return BenchRecord(
             path=str(path), label=label, method=method,
@@ -551,6 +556,9 @@ def console_main(argv=None) -> int:
     except (DeadlineInfeasible, InfeasibleAnchoredSet) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_INFEASIBLE
+    except NumericalFailure as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return _EXIT_NUMERICAL
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_PARSE

@@ -54,7 +54,7 @@ from .graph import (
     topological_order,
 )
 from .milp import MipModel, SolveParams, SolveResult, solve_lp, solve_mip
-from .uncertainty import Budgeted, normalize, worst_case_longest_paths
+from .uncertainty import Budgeted, _dev_full, normalize, worst_case_longest_paths
 
 #: violation tolerance for chain separation
 SEP_TOL = 1e-6
@@ -94,8 +94,9 @@ def build_std(
     h_t = 0 substituted.  The upper bound M on x is implied by the arc rows
     and the deadline, so declaring it cuts nothing.
     """
-    _, ld = _matrices(inst, None, ld)
     g = inst.graph
+    if ld is None:
+        ld = worst_case_longest_paths(g, inst.delta)
     M = float(inst.deadline)
     ubx = max(M, 0.0)
     model = MipModel(name="std")
@@ -205,6 +206,15 @@ def budget_height(g, dhat) -> int:
     return int(round(single_source_longest(g, S, risky)[g.t]))
 
 
+def _deviated_paths(g, dhat):
+    """Longest s-paths under p + dhat, and the full-deviation slack D.
+
+    D_j = L_{G(p+dhat)}(s, j) - L0(s, j) for every node j.
+    """
+    dist_dev = single_source_longest(g, S, g.p + _dev_full(g, dhat))
+    return dist_dev, dist_dev - single_source_longest(g, S, g.p)
+
+
 def _layer_data(inst: Instance, dhat, gamma):
     """Deviations and the layered model's budget, capped at the budget height."""
     d = normalize(inst.delta, inst.graph.n)
@@ -239,11 +249,8 @@ def build_lay(inst: Instance, dhat=None, gamma: int | None = None) -> MipModel:
     dhat, gamma = _layer_data(inst, dhat, gamma)
     g = inst.graph
     M = float(inst.deadline)
-    dev = np.zeros(g.n + 2)
-    dev[1 : g.n + 1] = dhat
-    dist_nom = single_source_longest(g, S, g.p)
-    dist_dev = single_source_longest(g, S, g.p + dev)
-    D = dist_dev - dist_nom
+    dev = _dev_full(g, dhat)
+    dist_dev, D = _deviated_paths(g, dhat)
     maxD = float(max(D[1 : g.n + 1].max(), 0.0)) if g.n else 0.0
     ub_all = max(M, 0.0) + gamma * maxD + max(float(dist_dev[g.t]), 0.0)
 
@@ -286,19 +293,32 @@ def build_lay(inst: Instance, dhat=None, gamma: int | None = None) -> MipModel:
     return model
 
 
-_BUILDERS = {"std": build_std, "dom": build_dom, "lay": build_lay}
+#: builder of each formulation, and whether it reads L0 and LD
+_BUILDERS = {
+    "std": (lambda inst, l0, ld: build_std(inst, ld), False, True),
+    "dom": (build_dom, True, True),
+    "lay": (lambda inst, l0, ld: build_lay(inst), False, False),
+}
+
+
+def _build(inst: Instance, which: str, chvatal: bool = False):
+    """Model ``which`` plus the rounded bounds, and LD when anything read it."""
+    try:
+        builder, reads_l0, reads_ld = _BUILDERS[which]
+    except KeyError:
+        raise ValueError(f"unknown formulation {which!r}") from None
+    g = inst.graph
+    l0 = all_pairs_longest(g, g.p) if reads_l0 or chvatal else None
+    ld = worst_case_longest_paths(g, inst.delta) if reads_ld or chvatal else None
+    model = builder(inst, l0, ld)
+    if chvatal:
+        add_chvatal_rows(model, inst, l0, ld)
+    return model, ld
 
 
 def build(inst: Instance, which: str) -> MipModel:
     """Build one of the three formulations by name (std, dom, lay)."""
-    which = which.lower()
-    if which == "std":
-        return build_std(inst)
-    if which == "dom":
-        return build_dom(inst)
-    if which == "lay":
-        return build_lay(inst)
-    raise ValueError(f"unknown formulation {which!r}")
+    return _build(inst, which.lower())[0]
 
 
 # ---------------------------------------------------------------------------
@@ -374,10 +394,7 @@ def separate_chain(
     for j in g.jobs:
         hv[j] = float(h[j])
     if which == "lay":
-        dhat, _ = _layer_data(inst, None, None)
-        dev = np.zeros(g.n + 2)
-        dev[1 : g.n + 1] = dhat
-        D = single_source_longest(g, S, g.p + dev) - single_source_longest(g, S, g.p)
+        D = _deviated_paths(g, _layer_data(inst, None, None)[0])[1]
 
     reach = ld.reach
     best = np.full(g.n + 2, -np.inf)
@@ -424,10 +441,7 @@ def chain_weight(
     g = inst.graph
     which = which.lower()
     if which == "lay":
-        dhat, _ = _layer_data(inst, None, None)
-        dev = np.zeros(g.n + 2)
-        dev[1 : g.n + 1] = dhat
-        D = single_source_longest(g, S, g.p + dev) - single_source_longest(g, S, g.p)
+        D = _deviated_paths(g, _layer_data(inst, None, None)[0])[1]
     total = 0.0
     for u, v in zip(chain[:-1], chain[1:]):
         if v == g.t:
@@ -535,21 +549,9 @@ def solve_formulation(
     chvatal: bool = False,
 ) -> tuple[SolveResult, AnchoredSolution | None]:
     """Build one formulation, solve it as a MIP, and decode the solution."""
-    l0, ld = _matrices(inst, None, None)
     which = which.lower()
-    if which == "std":
-        model = build_std(inst, ld)
-    elif which == "dom":
-        model = build_dom(inst, l0, ld)
-    elif which == "lay":
-        model = build_lay(inst)
-    else:
-        raise ValueError(f"unknown formulation {which!r}")
-    if chvatal:
-        add_chvatal_rows(model, inst, l0, ld)
-    heuristic = (
-        _greedy_anchored_heuristic(inst, ld, which) if which in ("std", "dom") else None
-    )
+    model, ld = _build(inst, which, chvatal)
+    heuristic = _greedy_anchored_heuristic(inst, ld, which) if which != "lay" else None
     res = solve_mip(model, params, heuristic=heuristic)
     return res, _extract_solution(inst, model, res, which)
 
@@ -635,18 +637,8 @@ def solve_dom_cuts(
 
 def lp_bound(inst: Instance, which: str = "dom", chvatal: bool = False) -> float:
     """Optimal value of the LP relaxation of one formulation."""
-    l0, ld = _matrices(inst, None, None)
     which = which.lower()
-    if which == "std":
-        model = build_std(inst, ld)
-    elif which == "dom":
-        model = build_dom(inst, l0, ld)
-    elif which == "lay":
-        model = build_lay(inst)
-    else:
-        raise ValueError(f"unknown formulation {which!r}")
-    if chvatal:
-        add_chvatal_rows(model, inst, l0, ld)
+    model, _ = _build(inst, which, chvatal)
     res = solve_lp(model)
     if res.status != "Optimal":
         raise DeadlineInfeasible(f"LP relaxation of {which} is {res.status}")
@@ -661,12 +653,9 @@ def dom_lay_premise(inst: Instance) -> bool:
     dominates the layered one.  Holds on critical graphs and for uniform
     one-disruption sets.
     """
-    dhat, _ = _layer_data(inst, None, None)
     g = inst.graph
+    D = _deviated_paths(g, _layer_data(inst, None, None)[0])[1]
     l0, ld = _matrices(inst, None, None)
-    dev = np.zeros(g.n + 2)
-    dev[1 : g.n + 1] = dhat
-    D = single_source_longest(g, S, g.p + dev) - single_source_longest(g, S, g.p)
     for i, j in l0.pairs():
         if j == g.t or i == g.t:
             continue

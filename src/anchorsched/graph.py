@@ -6,9 +6,11 @@ the duration of its *tail*: length ``p_i`` (``p_s = 0``).  A schedule is a
 start-time vector ``x`` with ``x_s = 0`` and ``x_j - x_i >= p_i`` on every arc.
 
 Longest-path values ``L(i, j)`` are defined exactly on the transitive
-reachability relation and computed with a per-source DAG sweep (see
-``_kernels``).  The nominal all-pairs matrix is the workhorse for everything
-else: anchoring conditions, criticality checks, and formulation coefficients.
+reachability relation.  They come from one DAG sweep over a block of sources
+at once (``path_sweep``, ``sweep_matrix``; see ``_kernels``), which the
+worst-case matrices of ``uncertainty`` share.  The nominal all-pairs matrix is
+the workhorse for everything else: anchoring conditions, criticality checks,
+and formulation coefficients.
 """
 
 from __future__ import annotations
@@ -25,6 +27,8 @@ from .errors import CycleDetected, DeadlineInfeasible, NotASchedule
 EPS = 1e-6
 
 S = 0  # source node id; the sink is n + 1
+
+_NO_GROUPS = np.zeros(0, dtype=np.int64)
 
 
 class PrecedenceGraph:
@@ -43,7 +47,7 @@ class PrecedenceGraph:
 
     __slots__ = (
         "n", "arcs", "p", "_succ", "_pred", "_topo", "_reach",
-        "_in_csr", "_rev_csr", "_in_tails", "_rev_heads",
+        "_in_csr", "_rev_csr", "_rev_heads",
     )
 
     def __init__(self, n: int, arcs: Iterable[tuple[int, int]], p: Sequence[float]):
@@ -82,7 +86,6 @@ class PrecedenceGraph:
         self._reach = None
         self._in_csr = None
         self._rev_csr = None
-        self._in_tails = None
         self._rev_heads = None
         self._check_connected()
 
@@ -172,7 +175,6 @@ class PrecedenceGraph:
                 ptr[j + 1] += 1
             np.cumsum(ptr, out=ptr)
             self._in_csr = (ptr, src)
-            self._in_tails = src  # arc weight = w[tail]
         return self._in_csr
 
     def _reverse_csr(self):
@@ -253,38 +255,66 @@ def topological_order(g: PrecedenceGraph) -> tuple[int, ...]:
     return g._topo
 
 
+def path_sweep(g: PrecedenceGraph, sources, w_nom, w_dev=None, layout=None, reverse=False):
+    """``val[node, source, state]``: one topological pass from every source.
+
+    An arc weighs its tail's entry of the node weights ``w_nom``, or of
+    ``w_dev`` when it deviates.  ``layout`` is ``(group_of, stride, radix,
+    n_states)`` (see ``_kernels``) and defaults to one state.  With
+    ``reverse`` the pass runs on the reversed graph, so ``val[v]`` is the
+    longest path from v to the source.
+    """
+    if reverse:
+        ptr, src = g._reverse_csr()
+        tails, order = g._rev_heads, g._topo[::-1]
+    else:
+        ptr, src = g._incoming_csr()
+        tails, order = src, g._topo
+    wt_nom = w_nom[tails]
+    wt_dev = wt_nom if w_dev is None else w_dev[tails]
+    group_of, stride, radix, n_states = layout or (
+        np.full(g.n + 2, -1, dtype=np.int64), _NO_GROUPS, _NO_GROUPS, 1
+    )
+    return _kernels.sweep(
+        np.asarray(order, dtype=np.int64), ptr, src, wt_nom, wt_dev,
+        group_of, stride, radix, n_states, np.asarray(sources, dtype=np.int64),
+    )
+
+
+def sweep_matrix(g: PrecedenceGraph, w_nom, w_dev=None, layout=None) -> np.ndarray:
+    """Longest-path matrix, the maximum over end states, row t left at -inf.
+
+    Sources are swept in blocks of max(1, m // n_states), so one block holds
+    at most max(m², m·n_states) values.
+    """
+    m = g.n + 2
+    n_states = 1 if layout is None else layout[3]
+    step = max(1, m // n_states)
+    values = np.full((m, m), -np.inf)
+    for lo in range(0, g.t, step):
+        block = np.arange(lo, min(lo + step, g.t))
+        val = path_sweep(g, block, w_nom, w_dev, layout)
+        values[block] = val.max(axis=2).T
+    return values
+
+
 def single_source_longest(
     g: PrecedenceGraph, source: int, weights: Sequence[float] | None = None
 ) -> np.ndarray:
     """Longest-path values from ``source`` to every node (-inf if unreachable)."""
-    w = g.node_weights(weights)
-    ptr, src = g._incoming_csr()
-    topo = np.asarray(g._topo, dtype=np.int64)
-    return _kernels.longest_from(g.n + 2, topo, ptr, src, w[src], source)
+    return path_sweep(g, [source], g.node_weights(weights))[:, 0, 0]
 
 
 def _longest_to_sink(g: PrecedenceGraph, weights: Sequence[float] | None = None) -> np.ndarray:
     """Longest-path values from every node to t (-inf if t unreachable)."""
-    w = g.node_weights(weights)
-    ptr, src = g._reverse_csr()
-    topo = np.asarray(g._topo[::-1], dtype=np.int64)
-    return _kernels.longest_from(g.n + 2, topo, ptr, src, w[g._rev_heads], g.t)
+    return path_sweep(g, [g.t], g.node_weights(weights), reverse=True)[:, 0, 0]
 
 
 def all_pairs_longest(
     g: PrecedenceGraph, weights: Sequence[float] | None = None
 ) -> LongestPathMatrix:
     """Nominal longest-path matrix for the given duration vector."""
-    m = g.n + 2
-    w = g.node_weights(weights)
-    ptr, src = g._incoming_csr()
-    topo = np.asarray(g._topo, dtype=np.int64)
-    wt = w[src]
-    values = np.full((m, m), -np.inf)
-    for source in range(m):
-        if source == g.t:
-            continue
-        values[source] = _kernels.longest_from(m, topo, ptr, src, wt, source)
+    values = sweep_matrix(g, g.node_weights(weights))
     reach = g.reachability()
     values[~reach] = -np.inf
     return LongestPathMatrix(values=values, reach=reach)

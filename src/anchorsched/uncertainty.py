@@ -15,29 +15,36 @@ is what anchoring feasibility depends on.  Supported set types:
 * ``MixedBudgeted``          union of budgeted sets
 * ``Scenarios(deltas)``      convex hull of explicit scenarios
 
-Worst cases are computed by type-specific DAG dynamic programs: a single
-inflated pass for boxes and scenarios, a (node, used-budget) DP for budgeted
-sets (linear in Γ·|A| per source), and a mixed-radix budget-vector DP for
-partitions.  Unions and hulls reduce to pointwise maxima of member matrices.
+Worst cases come from one DAG sweep over every source at once
+(``graph.sweep_matrix``), which differs by set type only in its budget states:
+one state on the inflated graph for boxes and scenarios, (node, used budget)
+states for budgeted sets (Γ+1 per source, so linear in Γ·|A| per source), and
+mixed-radix budget vectors for partitions.  Unions and hulls reduce to
+pointwise maxima of member matrices.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence, Union
 
 import numpy as np
 
-from . import _kernels
-from ._backend import USE_NUMBA
 from .errors import (
     BudgetOutOfRange,
     EmptyScenarioList,
     EnumerationTooLarge,
     UnsupportedUncertainty,
 )
-from .graph import EPS, LongestPathMatrix, PrecedenceGraph, all_pairs_longest
+from .graph import (
+    EPS,
+    LongestPathMatrix,
+    PrecedenceGraph,
+    path_sweep,
+    sweep_matrix,
+)
 
 #: state-space guard for the partition DP
 MAX_PARTITION_STATES = 10**6
@@ -245,6 +252,26 @@ def _dev_full(g: PrecedenceGraph, dhat: Sequence[float]) -> np.ndarray:
     return dv
 
 
+def _state_layout(g: PrecedenceGraph, gammas, parts=None):
+    """``(group_of, stride, radix, n_states)`` of the budget states of a set.
+
+    Digit k of a state is the budget part k has spent (see ``_kernels``).
+    Without parts this is a budgeted set: one group of every node, which
+    keeps the (node, used budget) recurrence, as s and t never deviate.
+    """
+    radix = [int(gk) + 1 for gk in gammas]
+    n_states = math.prod(radix)
+    if n_states > MAX_PARTITION_STATES:
+        raise EnumerationTooLarge(
+            f"partition DP needs {n_states} budget states (limit {MAX_PARTITION_STATES})"
+        )
+    group_of = np.full(g.n + 2, -1 if parts else 0, dtype=np.int64)
+    for k, part in enumerate(parts or ()):
+        group_of[list(part)] = k
+    stride = [math.prod(radix[:k]) for k in range(len(radix))]
+    return group_of, np.array(stride, dtype=np.int64), np.array(radix, dtype=np.int64), n_states
+
+
 def budgeted_dp(
     g: PrecedenceGraph, dhat: Sequence[float], gamma: int, source: int
 ) -> np.ndarray:
@@ -256,56 +283,18 @@ def budgeted_dp(
     """
     if not 1 <= int(gamma) <= max(g.n, 1):
         raise BudgetOutOfRange(f"gamma must be in 1..{g.n}, got {gamma}")
-    ptr, src = g._incoming_csr()
-    topo = np.asarray(g._topo, dtype=np.int64)
-    dev = _dev_full(g, dhat)
-    wt_nom = g.p[src]
-    wt_dev = wt_nom + dev[src]
-    return _kernels.budgeted_from(
-        g.n + 2, topo, ptr, src, wt_nom, wt_dev, int(source), int(gamma)
-    )
+    w_dev = g.p + _dev_full(g, dhat)
+    layout = _state_layout(g, [int(gamma)])
+    return path_sweep(g, [int(source)], g.p, w_dev, layout)[:, 0, :]
 
 
 def _budgeted_matrix(g: PrecedenceGraph, dhat, gamma: int) -> np.ndarray:
-    m = g.n + 2
-    values = np.full((m, m), -np.inf)
-    for source in range(m):
-        if source == g.t:
-            continue
-        table = budgeted_dp(g, dhat, gamma, source)
-        values[source] = table.max(axis=1)
-    return values
+    return sweep_matrix(g, g.p, g.p + _dev_full(g, dhat), _state_layout(g, [gamma]))
 
 
 def _partition_matrix(g: PrecedenceGraph, delta: PartitionBudgeted) -> np.ndarray:
-    radix = np.array([gk + 1 for gk in delta.gammas], dtype=np.int64)
-    n_states = int(np.prod(radix))
-    if n_states > MAX_PARTITION_STATES:
-        raise EnumerationTooLarge(
-            f"partition DP needs {n_states} budget states (limit {MAX_PARTITION_STATES})"
-        )
-    stride = np.ones(len(radix), dtype=np.int64)
-    for k in range(1, len(radix)):
-        stride[k] = stride[k - 1] * radix[k - 1]
-    group_of = np.full(g.n + 2, -1, dtype=np.int64)
-    for gi, part in enumerate(delta.parts):
-        for j in part:
-            group_of[j] = gi
-    ptr, src = g._incoming_csr()
-    topo = np.asarray(g._topo, dtype=np.int64)
-    dev = _dev_full(g, delta.dhat)
-    wt_nom = g.p[src]
-    wt_dev = wt_nom + dev[src]
-    m = g.n + 2
-    values = np.full((m, m), -np.inf)
-    for source in range(m):
-        if source == g.t:
-            continue
-        table = _kernels.partition_from(
-            m, topo, ptr, src, wt_nom, wt_dev, group_of, stride, radix, n_states, source
-        )
-        values[source] = table.max(axis=1)
-    return values
+    layout = _state_layout(g, delta.gammas, delta.parts)
+    return sweep_matrix(g, g.p, g.p + _dev_full(g, delta.dhat), layout)
 
 
 def worst_case_longest_paths(g: PrecedenceGraph, delta: UncertaintySet) -> LongestPathMatrix:
@@ -313,7 +302,7 @@ def worst_case_longest_paths(g: PrecedenceGraph, delta: UncertaintySet) -> Longe
     d = normalize(delta, g.n)
     reach = g.reachability()
     if isinstance(d, Box):
-        values = all_pairs_longest(g, g.p + _dev_full(g, d.dhat)).values.copy()
+        values = sweep_matrix(g, g.p + _dev_full(g, d.dhat))
     elif isinstance(d, Budgeted):
         values = _budgeted_matrix(g, d.dhat, d.gamma)
     elif isinstance(d, PartitionBudgeted):
@@ -323,11 +312,9 @@ def worst_case_longest_paths(g: PrecedenceGraph, delta: UncertaintySet) -> Longe
         for comp in d.components[1:]:
             np.maximum(values, _budgeted_matrix(g, comp.dhat, comp.gamma), out=values)
     elif isinstance(d, Scenarios):
-        values = all_pairs_longest(g, g.p + _dev_full(g, d.deltas[0])).values.copy()
+        values = sweep_matrix(g, g.p + _dev_full(g, d.deltas[0]))
         for sc in d.deltas[1:]:
-            np.maximum(
-                values, all_pairs_longest(g, g.p + _dev_full(g, sc)).values, out=values
-            )
+            np.maximum(values, sweep_matrix(g, g.p + _dev_full(g, sc)), out=values)
     else:  # pragma: no cover - exhaustive over the union type
         raise UnsupportedUncertainty(f"unknown uncertainty set {type(d).__name__}")
     values[~reach] = -np.inf

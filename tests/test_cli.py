@@ -8,6 +8,7 @@ import json
 import pytest
 
 import anchorsched as asd
+from anchorsched import cli
 from anchorsched.cli import console_main
 
 VALID_META = {"label": "manual", "seed": 0, "prng": "philox"}
@@ -264,6 +265,28 @@ def test_bench_counts_unsupported_as_unsolved(tmp_path, capsys, fig_box):
     assert rc == 0
     rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
     assert rows[0]["solved_count"] == "0"
+
+
+def test_numerical_failure_is_a_status_and_an_exit_code(
+    tmp_path, capsys, monkeypatch, fig_budget
+):
+    # a node LP that exhausts its pivot budget, without the long stall
+    def stall(*args, **kwargs):
+        raise asd.NumericalFailure("pivot limit 200000 hit in phase 1")
+
+    monkeypatch.setattr(cli, "solve_formulation", stall)
+    monkeypatch.setattr(cli, "solve_auto", stall)
+    d = tmp_path / "stall"
+    d.mkdir()
+    path = _write(d, fig_budget)
+    rec = cli.bench_task(str(path), "dom", 10.0)
+    assert rec.status == "NumericalFailure" and not rec.solved
+    assert console_main(["bench", str(d), "--methods", "dom,auto"]) == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert [r["solved_count"] for r in rows] == ["0", "0"]
+    for method in ("dom", "auto"):
+        assert console_main(["solve", str(path), "--method", method]) == 5
+        assert "pivot limit" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
