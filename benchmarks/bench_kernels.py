@@ -8,7 +8,7 @@ Workloads cover every accelerated kernel family through public entry points:
 * box worst case — the all-sources sweep with one state,
 * budgeted worst case — the sweep over (node, used budget) states,
 * partitioned worst case — the sweep over mixed-radix budget vectors,
-* relaxation bound — the dense simplex phases (and the two sweeps of L0, LD),
+* relaxation bound — the bounded dual simplex (and the two sweeps of L0, LD),
 * exhaustive optimum — the subset makespan scan.
 
 Run ``PYTHONPATH=src python3 benchmarks/bench_kernels.py`` from the

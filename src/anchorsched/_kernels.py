@@ -10,7 +10,9 @@ loop build as plain Python against its twin.  The kernels:
   block of sources over a block of budget states.  Every path matrix goes
   through it: nominal and box (one state), budgeted ((node, used budget)
   states) and partitioned (mixed-radix budget vectors).
-* ``run_phase`` — one phase of the dense tableau simplex.
+* ``dual_phase`` — the bounded dual simplex on a dense tableau: bounds stay
+  on the variables, and the all-logical start basis is dual feasible, so one
+  phase solves the LP.
 * ``mask_makespans`` / ``scan_best`` — worst-case makespans of anchored
   subsets given as bitmasks, for the exhaustive optimum.
 
@@ -124,117 +126,163 @@ def _sweep_vec(
 
 
 # ---------------------------------------------------------------------------
-# simplex phase
+# bounded dual simplex
 # ---------------------------------------------------------------------------
-# T is the (m+1) x (N+1) tableau of a minimization: rows 0..m-1 are basic rows
-# with the rhs in the last column, row m is the reduced-cost row.  ``allowed``
-# flags columns eligible to enter.  Entering uses Dantzig's rule until the
-# cumulative count of degenerate pivots exceeds ``bland_after``, then Bland's
-# rule (smallest eligible column index; leaving ties broken by smallest basis
-# variable index throughout).  Returns (status, pivots) with status 0=optimal,
-# 1=unbounded, 2=pivot limit.  The numpy build updates only the columns where
-# the pivot row is nonzero, on a column-major copy of T: elsewhere the update
-# would subtract zero, so values and pivot choices are those of the full
-# rank-one update, at a fraction of the writes on sparse rows.
+# T is the (m+1) x N tableau of a minimization over variables z with bounds
+# lo <= z <= hi and rows T[:m] @ z = 0: row i holds basic variable basis[i]
+# with a unit column, row m the reduced costs d.  z holds every value: each
+# nonbasic sits at a finite bound, and the basis is dual feasible (d_j >= 0
+# at a lower bound, d_j <= 0 at an upper one).  A column with lo == hi never
+# enters.  Each pivot takes the basic variable with the largest bound
+# violation to its violated bound; the entering column is the smallest
+# |d_j| / |T[r, j]| among columns that can move the leaving one toward that
+# bound, ties to the largest |T[r, j]|.  Once the count of degenerate
+# pivots (ratio <= _DEGEN) passes ``bland_after``, both choices take the
+# smallest index instead: the violated basic variable of smallest index, the
+# first column among ratio ties.  Returns (status, pivots) with status
+# 0=optimal, 1=infeasible (no column can repair the leaving row), 2=pivot
+# limit.  The numpy build updates only the columns where the pivot row is
+# nonzero, on a column-major copy of T: elsewhere the update would subtract
+# zero, so values and pivot choices are those of the full rank-one update.
 
 _TIE = 1e-12
 _DEGEN = 1e-10
 
 
-def _run_phase_loop(T, basis, allowed, bland_after, max_pivots, ftol, ptol):
+def _dual_phase_loop(T, basis, z, lo, hi, bland_after, max_pivots, ftol, ptol):
     m = T.shape[0] - 1
-    ncols = T.shape[1] - 1
+    ncols = T.shape[1]
+    enter = lo < hi
+    for i in range(m):
+        enter[basis[i]] = False
     degen = 0
     pivots = 0
     while True:
-        e = -1
-        if degen > bland_after:
-            for j in range(ncols):
-                if allowed[j] and T[m, j] < -ptol:
-                    e = j
-                    break
-        else:
-            best = -ptol
-            for j in range(ncols):
-                if allowed[j] and T[m, j] < best:
-                    best = T[m, j]
-                    e = j
-        if e < 0:
-            return 0, pivots
+        bland = degen > bland_after
         r = -1
-        best_ratio = np.inf
+        worst = ftol
         for i in range(m):
-            a = T[i, e]
-            if a > ptol:
-                ratio = T[i, ncols] / a
-                if ratio < best_ratio - _TIE:
-                    best_ratio = ratio
-                    r = i
-                elif ratio <= best_ratio + _TIE and r >= 0 and basis[i] < basis[r]:
-                    if ratio < best_ratio:
-                        best_ratio = ratio
+            q = basis[i]
+            v = max(lo[q] - z[q], z[q] - hi[q])
+            if v > ftol:
+                if bland:
+                    if r < 0 or q < basis[r]:
+                        r = i
+                elif v > worst:
+                    worst = v
                     r = i
         if r < 0:
+            return 0, pivots
+        q = basis[r]
+        below = z[q] < lo[q]
+        bound = lo[q] if below else hi[q]
+        sigma = 1.0 if below else -1.0
+        best = np.inf
+        for j in range(ncols):
+            if enter[j]:
+                a = T[r, j]
+                s = sigma if z[j] != hi[j] else -sigma
+                if s * a < -ptol:
+                    ratio = abs(T[m, j]) / abs(a)
+                    if ratio < best:
+                        best = ratio
+        if best == np.inf:
             return 1, pivots
-        if best_ratio <= _DEGEN:
+        e = -1
+        big = 0.0
+        for j in range(ncols):
+            if enter[j]:
+                a = T[r, j]
+                s = sigma if z[j] != hi[j] else -sigma
+                if s * a < -ptol and abs(T[m, j]) / abs(a) <= best + _TIE:
+                    if bland:
+                        e = j
+                        break
+                    if abs(a) > big:
+                        big = abs(a)
+                        e = j
+        if best <= _DEGEN:
             degen += 1
         piv = T[r, e]
-        for j in range(ncols + 1):
+        delta = (z[q] - bound) / piv
+        for i in range(m):
+            z[basis[i]] -= T[i, e] * delta
+        z[e] += delta
+        z[q] = bound
+        for j in range(ncols):
             T[r, j] /= piv
         T[r, e] = 1.0
         for i in range(m + 1):
             if i != r:
                 f = T[i, e]
                 if f != 0.0:
-                    for j in range(ncols + 1):
+                    for j in range(ncols):
                         T[i, j] -= f * T[r, j]
                     T[i, e] = 0.0
         basis[r] = e
+        enter[e] = False
+        enter[q] = lo[q] < hi[q]
         pivots += 1
         if pivots >= max_pivots:
             return 2, pivots
 
 
-def _run_phase_vec(T, basis, allowed, bland_after, max_pivots, ftol, ptol):
+def _dual_phase_vec(T, basis, z, lo, hi, bland_after, max_pivots, ftol, ptol):
     # the update gathers whole columns, so pivot on a column-major copy
     F = np.asfortranarray(T)
-    out = _run_phase_cols(F, basis, allowed, bland_after, max_pivots, ptol)
+    out = _dual_phase_cols(F, basis, z, lo, hi, bland_after, max_pivots, ftol, ptol)
     if F is not T:
         T[...] = F
     return out
 
 
-def _run_phase_cols(T, basis, allowed, bland_after, max_pivots, ptol):
+def _dual_phase_cols(T, basis, z, lo, hi, bland_after, max_pivots, ftol, ptol):
     m = T.shape[0] - 1
-    ncols = T.shape[1] - 1
+    if m == 0:
+        return 0, 0
+    enter = lo < hi
+    enter[basis] = False
+    down = np.where(z == hi, -1.0, 1.0)  # the way each nonbasic can move
+    lo_b, hi_b = lo[basis], hi[basis]
+    ratios = np.empty(T.shape[1])
     degen = 0
     pivots = 0
-    if ncols == 0:
-        return 0, 0
-    ratios = np.empty(m)
     while True:
-        cost = T[m, :ncols]
-        if degen > bland_after:
-            eligible = np.nonzero(allowed & (cost < -ptol))[0]
-            if eligible.size == 0:
+        bland = degen > bland_after
+        zb = z[basis]
+        viol = np.maximum(lo_b - zb, zb - hi_b)
+        if bland:
+            bad = np.flatnonzero(viol > ftol)
+            if bad.size == 0:
                 return 0, pivots
-            e = int(eligible[0])
+            r = int(bad[np.argmin(basis[bad])])
         else:
-            masked = np.where(allowed, cost, 0.0)
-            e = int(np.argmin(masked))
-            if masked[e] >= -ptol:
+            r = int(np.argmax(viol))
+            if viol[r] <= ftol:
                 return 0, pivots
-        col = T[:m, e]
+        q = basis[r]
+        below = zb[r] < lo_b[r]
+        bound = lo_b[r] if below else hi_b[r]
+        row = T[r]
+        moves = enter & ((down * row < -ptol) if below else (down * row > ptol))
         ratios.fill(np.inf)
-        np.divide(T[:m, ncols], col, out=ratios, where=col > ptol)
-        best_ratio = ratios.min(initial=np.inf)
-        if best_ratio == np.inf:
+        np.divide(np.abs(T[m]), np.abs(row), out=ratios, where=moves)
+        best = ratios.min()
+        if best == np.inf:
             return 1, pivots
-        ties = np.flatnonzero(ratios <= best_ratio + _TIE)
-        r = int(ties[0]) if ties.size == 1 else int(ties[np.argmin(basis[ties])])
-        if best_ratio <= _DEGEN:
+        ties = np.flatnonzero(ratios <= best + _TIE)
+        if ties.size == 1 or bland:
+            e = int(ties[0])
+        else:
+            e = int(ties[np.argmax(np.abs(row[ties]))])
+        if best <= _DEGEN:
             degen += 1
-        prow = T[r] / T[r, e]
+        piv = row[e]
+        delta = (zb[r] - bound) / piv
+        z[basis] = zb - T[:m, e] * delta
+        z[e] += delta
+        z[q] = bound
+        prow = row / piv
         prow[e] = 1.0
         colv = T[:, e].copy()
         colv[r] = 0.0
@@ -244,6 +292,10 @@ def _run_phase_cols(T, basis, allowed, bland_after, max_pivots, ptol):
         T[:, e] = 0.0
         T[r, e] = 1.0
         basis[r] = e
+        lo_b[r], hi_b[r] = lo[e], hi[e]
+        enter[e] = False
+        enter[q] = lo[q] < hi[q]
+        down[q] = -1.0 if bound == hi[q] else 1.0
         pivots += 1
         if pivots >= max_pivots:
             return 2, pivots
@@ -341,12 +393,12 @@ def _scan_best_loop(
 
 if USE_NUMBA:
     sweep = jit(_sweep_loop)
-    run_phase = jit(_run_phase_loop)
+    dual_phase = jit(_dual_phase_loop)
     mask_makespans = jit(_mask_makespans_loop)
     scan_best = jit(_scan_best_loop)
 else:
     sweep = _sweep_vec
-    run_phase = _run_phase_vec
+    dual_phase = _dual_phase_vec
     mask_makespans = _mask_makespans_vec
     scan_best = None  # brute force derives the best from mask_makespans blocks
 
@@ -366,8 +418,11 @@ def warm_up():
         np.array([2], dtype=np.int64),
         2, np.array([0, 1], dtype=np.int64),
     )
-    T = np.array([[1.0, 1.0, 1.0], [-1.0, 0.0, 0.0]])
-    run_phase(T, np.array([1], dtype=np.int64), np.array([True, True]), 1000, 10, 1e-7, 1e-9)
+    T = np.array([[-1.0, 1.0], [-1.0, 0.0]])  # min -x, x in [0, 2], row x <= 1
+    dual_phase(
+        T, np.array([1], dtype=np.int64), np.array([2.0, 2.0]),
+        np.array([0.0, -np.inf]), np.array([2.0, 1.0]), 1000, 10, 1e-7, 1e-9,
+    )
     masks = np.array([0, 1], dtype=np.int64)
     mask_makespans(
         masks, 1, 3, topo[1:], in_ptr, in_src, wt,

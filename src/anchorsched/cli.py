@@ -19,6 +19,7 @@ import json
 import math
 import os
 import sys
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -130,15 +131,16 @@ def _solve_one(
 
     if method == "auto":  # solve_auto preprocesses the deadline itself
         return solve_auto(inst, params, chvatal=chvatal, cuts=cuts)
+    t0 = time.perf_counter()
     work = preprocess_deadline(inst)
     if method == "brute":
         return solve_brute(work)
     if method == "dom" and cuts:
         res, sol, _ = solve_dom_cuts(work, params, chvatal=chvatal)
-        return _report_mip("dom_cuts", res, sol)
+        return _report_mip("dom_cuts", res, sol, time.perf_counter() - t0)
     if method in ("std", "dom", "lay"):
         res, sol = solve_formulation(work, method, params, chvatal=chvatal)
-        return _report_mip(method, res, sol)
+        return _report_mip(method, res, sol, time.perf_counter() - t0)
     raise ParseError(f"unknown method {method!r}")
 
 
@@ -246,13 +248,14 @@ def bench_task(
             lp_value=float("nan"), lp_gap=float("nan"),
         )
     lp_value = float("nan")
-    lp_gap = float("nan")
     if report.solved and method in ("std", "dom", "lay"):
-        try:
-            lp_value = lp_bound(preprocess_deadline(inst), method, chvatal=chvatal)
-            lp_gap = (lp_value - report.objective) / max(abs(report.objective), 1e-9)
-        except AnchorSchedError:
-            pass
+        lp_value = report.root_value
+        if report.method == "dom_cuts":  # its master is not the dom model
+            try:
+                lp_value = lp_bound(preprocess_deadline(inst), method, chvatal=chvatal)
+            except AnchorSchedError:
+                lp_value = float("nan")
+    lp_gap = (lp_value - report.objective) / max(abs(report.objective), 1e-9)
     return BenchRecord(
         path=str(path), label=label, method=method, status=report.status,
         solved=report.solved, runtime=report.runtime, gap=report.gap,

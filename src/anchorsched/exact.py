@@ -233,6 +233,7 @@ class SolutionReport:
     nodes: int
     runtime: float
     solution: AnchoredSolution | None
+    root_value: float = float("nan")  # root LP value of a MIP route
 
     @property
     def solved(self) -> bool:
@@ -252,7 +253,8 @@ def _report_exact(method: str, sol: AnchoredSolution, runtime: float) -> Solutio
     )
 
 
-def _report_mip(method: str, res: SolveResult, sol) -> SolutionReport:
+def _report_mip(method: str, res: SolveResult, sol, runtime: float) -> SolutionReport:
+    """Report of a MIP route; ``runtime`` covers LD, preprocessing and build too."""
     return SolutionReport(
         method=method,
         status=res.status,
@@ -260,8 +262,9 @@ def _report_mip(method: str, res: SolveResult, sol) -> SolutionReport:
         bound=res.bound,
         gap=res.gap,
         nodes=res.nodes,
-        runtime=res.runtime,
+        runtime=runtime,
         solution=sol,
+        root_value=res.root_value,
     )
 
 
@@ -307,7 +310,9 @@ def solve_auto(
         res, sol, _ = solve_dom_cuts(work, params, chvatal=chvatal)
     else:
         res, sol = solve_formulation(work, "dom", params, chvatal=chvatal)
-    return _report_mip("dom_cuts" if cuts else "dom", res, sol)
+    return _report_mip(
+        "dom_cuts" if cuts else "dom", res, sol, time.perf_counter() - t0
+    )
 
 
 def solve_brute(inst: Instance) -> SolutionReport:

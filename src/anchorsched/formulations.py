@@ -581,7 +581,6 @@ def solve_dom_cuts(
     inside branch and bound on integral candidates.  Schedules are recovered
     from the final anchored set afterwards.
     """
-    params = params or SolveParams()
     l0, ld = _matrices(inst, None, None)
     g = inst.graph
     master = MipModel(name="dom_cuts")
@@ -595,7 +594,7 @@ def solve_dom_cuts(
     cuts = 0
     root_bound = np.nan
     while True:
-        lp = solve_lp(master, params)
+        lp = solve_lp(master)
         if lp.status != "Optimal":
             root_bound = np.nan
             break

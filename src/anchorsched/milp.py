@@ -2,15 +2,18 @@
 
 The model is a plain container: variables with finite bounds (optionally
 binary), rows ``coefs {<=,>=,=} rhs``, and one linear objective.  The LP
-solver is a two-phase dense-tableau simplex: variable lower bounds are shifted
-to zero, finite upper bounds are materialized as rows, fixed variables are
-substituted out, and phase 1 minimizes artificial variables of >= and = rows.
-Pivoting uses Dantzig's rule, switching to Bland's rule once the count of
-degenerate pivots passes a threshold; a hard pivot limit raises
-NumericalFailure.  The MIP solver is best-bound branch and bound on binary
-variables with most-fractional branching, an LP-rounding initial incumbent,
-and an optional cut callback that may reject integral candidates by adding
-globally valid rows.
+solver is a bounded dual simplex on a dense tableau of ``A x - s = 0``:
+bounds stay on the variables (a branch fixes a binary by setting lb = ub),
+each row's logical s carries the bounds of its sense, and the all-logical
+start basis with every structural at its cheaper bound is dual feasible, so
+one phase needs no bound rows, artificials or phase 1 (Koberstein, *The dual
+simplex method*, 2005).  The leaving row is the largest bound violation and
+the entering column the smallest dual ratio, switching to smallest-index
+choices once the count of degenerate pivots passes a threshold; a hard pivot
+limit raises NumericalFailure.  The MIP solver is best-bound branch and bound
+on binary variables with most-fractional branching, an LP-rounding initial
+incumbent, and an optional cut callback that may reject integral candidates
+by adding globally valid rows.
 
 Models can be written to and re-read from the textual LP format (sections
 Maximize/Subject To/Bounds/Binary/End).
@@ -33,6 +36,18 @@ _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
 #: absolute guard used when normalizing gaps
 GAP_FLOOR = 1e-9
+#: relative gap at which branch and bound stops
+GAP_TOL = 1e-6
+#: bound violation the simplex accepts, and slack on a fixed value
+FEAS_TOL = 1e-7
+#: smallest pivot-row entry the ratio test considers
+PIVOT_TOL = 1e-9
+#: degenerate pivots after which the simplex uses the smallest-index rule
+BLAND_AFTER = 1000
+#: pivots of one LP after which NumericalFailure is raised
+MAX_PIVOTS = 200_000
+#: distance from 0 or 1 within which a binary counts as integral
+INT_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -53,15 +68,9 @@ class Row:
 
 @dataclass
 class SolveParams:
-    """Solver knobs; defaults match the package-wide testing setup."""
+    """Branch-and-bound settings: the wall-clock limit in seconds."""
 
     time_limit: float = 300.0
-    gap_tol: float = 1e-6
-    feas_tol: float = 1e-7
-    pivot_tol: float = 1e-9
-    bland_after: int = 1000
-    max_pivots: int = 200_000
-    int_tol: float = 1e-6
 
 
 @dataclass
@@ -70,7 +79,9 @@ class SolveResult:
 
     ``x`` is the incumbent (present iff a feasible point was found), ``value``
     its objective, ``bound`` the dual bound, and
-    ``gap = |bound - value| / max(|value|, 1e-9)``.
+    ``gap = |bound - value| / max(|value|, 1e-9)``.  ``root_value`` is the
+    LP relaxation value at the branch-and-bound root (NaN for a bare LP or
+    an infeasible root).
     """
 
     status: str
@@ -81,6 +92,7 @@ class SolveResult:
     nodes: int
     runtime: float
     iterations: int = 0
+    root_value: float = np.nan
 
     @property
     def incumbent(self) -> dict[str, float] | None:
@@ -97,7 +109,7 @@ class MipModel:
         self.objective: dict[str, float] = {}
         self.maximize: bool = True
         self._index: dict[str, int] = {}
-        self._dense_cache = None
+        self._form_cache = None
 
     # -- construction -------------------------------------------------------
 
@@ -117,7 +129,7 @@ class MipModel:
             raise ValueError(f"binary variable {name!r} must have bounds within [0,1]")
         self._index[name] = len(self.variables)
         self.variables.append(Variable(name, lb, ub, binary))
-        self._dense_cache = None
+        self._form_cache = None
         return name
 
     def add_binary(self, name: str) -> str:
@@ -147,7 +159,7 @@ class MipModel:
         if name is None:
             name = f"c{len(self.rows)}"
         self.rows.append(Row(name, clean, sense, rhs))
-        self._dense_cache = None
+        self._form_cache = None
         return len(self.rows) - 1
 
     def set_objective(self, coefs: Mapping[str, float], maximize: bool = True):
@@ -158,6 +170,7 @@ class MipModel:
                 raise ValueError(f"non-finite objective coefficient on {var!r}")
         self.objective = {v: float(c) for v, c in coefs.items() if float(c) != 0.0}
         self.maximize = bool(maximize)
+        self._form_cache = None
 
     # -- views ---------------------------------------------------------------
 
@@ -171,20 +184,26 @@ class MipModel:
     def binaries(self) -> list[int]:
         return [i for i, v in enumerate(self.variables) if v.binary]
 
-    def _dense(self):
-        """Cached dense row matrix (rows x vars), senses and rhs."""
-        if self._dense_cache is None:
+    def _standard_form(self):
+        """Cached ``A x - s = 0`` data: A, the bounds of [x, s], and costs.
+
+        Each row's logical s is bounded by its sense: ``<=`` gives
+        (-inf, rhs], ``>=`` gives [rhs, inf) and ``=`` gives [rhs, rhs].
+        """
+        if self._form_cache is None:
             m, n = len(self.rows), len(self.variables)
             A = np.zeros((m, n))
-            senses = []
-            rhs = np.zeros(m)
+            lo = np.empty(n + m)
+            hi = np.empty(n + m)
+            for k, v in enumerate(self.variables):
+                lo[k], hi[k] = v.lb, v.ub
             for k, row in enumerate(self.rows):
                 for var, c in row.coefs.items():
                     A[k, self._index[var]] = c
-                senses.append(row.sense)
-                rhs[k] = row.rhs
-            self._dense_cache = (A, senses, rhs)
-        return self._dense_cache
+                lo[n + k] = -np.inf if row.sense == "<=" else row.rhs
+                hi[n + k] = np.inf if row.sense == ">=" else row.rhs
+            self._form_cache = (A, lo, hi, self.objective_vector())
+        return self._form_cache
 
     def objective_vector(self) -> np.ndarray:
         c = np.zeros(len(self.variables))
@@ -212,168 +231,51 @@ class MipModel:
 
 
 # ---------------------------------------------------------------------------
-# two-phase simplex
+# bounded dual simplex
 # ---------------------------------------------------------------------------
 
 
-def _simplex(model: MipModel, params: SolveParams, fixes: dict[int, float] | None):
+def _simplex(model: MipModel, fixes: dict[int, float] | None):
     """Solve the LP relaxation (integrality ignored) with bound overrides.
 
-    Returns (status, x_full, iterations) where status is one of "Optimal",
-    "Infeasible", "Unbounded"; x_full is a full variable-value vector for
-    Optimal.  Raises NumericalFailure when the pivot limit is exhausted.
+    Standard form ``A x - s = 0``: structurals keep their bounds (a fix sets
+    lb = ub), and the logical s of each row is bounded by its sense.  The
+    start basis is all logicals with every structural at the bound its cost
+    prefers, which is dual feasible, so one dual simplex phase solves it.
+    Returns (status, x_full, iterations) where status is "Optimal" or
+    "Infeasible"; x_full is a full variable-value vector for Optimal.  Raises
+    NumericalFailure when the pivot limit is exhausted.
     """
-    nv = model.n_vars
-    lb = np.array([v.lb for v in model.variables])
-    ub = np.array([v.ub for v in model.variables])
+    A, lo, hi, c = model._standard_form()
+    m, n = A.shape
+    lo, hi = lo.copy(), hi.copy()
     if fixes:
         for idx, val in fixes.items():
-            if val < lb[idx] - params.feas_tol or val > ub[idx] + params.feas_tol:
+            if val < lo[idx] - FEAS_TOL or val > hi[idx] + FEAS_TOL:
                 return "Infeasible", None, 0
-            lb[idx] = ub[idx] = val
-    active = np.nonzero(ub - lb > 0)[0]
-    fixed_vals = lb.copy()  # value of every fixed variable (lb == ub there)
-
-    A, senses, rhs = model._dense()
-    # substitute fixed variables and shift active ones to lower bound zero
-    rhs_adj = rhs - A @ lb
-    A_act = A[:, active]
-    n_act = len(active)
-
-    c_full = model.objective_vector()
-    sign = -1.0 if model.maximize else 1.0
-    c_act = sign * c_full[active]
-
-    # upper-bound rows for the shifted actives
-    ub_rows = ub[active] - lb[active]
-    m_rows = len(model.rows)
-    m = m_rows + n_act
-
-    # column layout: actives | slacks (<= rows incl. bound rows) | artificials
-    n_slack = 0
-    needs_art = []
-    row_sense = []
-    row_rhs = np.empty(m)
-    for k in range(m_rows):
-        b = rhs_adj[k]
-        s = senses[k]
-        if b < 0:
-            s = {"<=": ">=", ">=": "<=", "=": "="}[s]
-        row_sense.append(s)
-        row_rhs[k] = abs(b) if b < 0 else b
-    for k in range(n_act):
-        row_sense.append("<=")
-        row_rhs[m_rows + k] = ub_rows[k]
-    n_slack = sum(1 for s in row_sense if s in ("<=", ">="))
-    n_art = sum(1 for s in row_sense if s in (">=", "="))
-    N = n_act + n_slack + n_art
-
-    T = np.zeros((m + 1, N + 1))
-    T[:m_rows, :n_act] = A_act
-    flip = rhs_adj < 0
-    T[:m_rows, :n_act][flip] *= -1.0
-    for k in range(n_act):
-        T[m_rows + k, k] = 1.0
-    T[:m, N] = row_rhs
-
-    basis = np.empty(m, dtype=np.int64)
-    s_col = n_act
-    a_col = n_act + n_slack
-    art_start = a_col
-    art_rows = []
-    for k in range(m):
-        s = row_sense[k]
-        if s == "<=":
-            T[k, s_col] = 1.0
-            basis[k] = s_col
-            s_col += 1
-        elif s == ">=":
-            T[k, s_col] = -1.0
-            s_col += 1
-            T[k, a_col] = 1.0
-            basis[k] = a_col
-            art_rows.append(k)
-            a_col += 1
-        else:
-            T[k, a_col] = 1.0
-            basis[k] = a_col
-            art_rows.append(k)
-            a_col += 1
-
-    allowed = np.ones(N, dtype=bool)
-    iterations = 0
-
-    # phase 1: minimize the artificial sum
-    if art_rows:
-        T[m, :] = 0.0
-        T[m, art_start:N] = 1.0
-        for r in art_rows:
-            T[m, :] -= T[r, :]
-        status, piv = _kernels.run_phase(
-            T, basis, allowed, params.bland_after, params.max_pivots,
-            params.feas_tol, params.pivot_tol,
-        )
-        iterations += piv
-        if status == 2:
-            raise NumericalFailure(f"pivot limit {params.max_pivots} hit in phase 1")
-        if -T[m, N] > params.feas_tol:
-            return "Infeasible", None, iterations
-        # drive leftover artificials out of the basis (degenerate pivots)
-        drop = []
-        for r in range(m):
-            if basis[r] >= art_start:
-                e = -1
-                for j in range(art_start):
-                    if allowed[j] and abs(T[r, j]) > params.pivot_tol:
-                        e = j
-                        break
-                if e < 0:
-                    drop.append(r)
-                    continue
-                prow = T[r] / T[r, e]
-                colv = T[:, e].copy()
-                colv[r] = 0.0
-                nz = np.flatnonzero(prow)
-                T[:, nz] -= colv[:, None] * prow[nz]
-                T[r] = prow
-                T[:, e] = 0.0
-                T[r, e] = 1.0
-                basis[r] = e
-                iterations += 1
-        if drop:
-            keep = np.setdiff1d(np.arange(m), np.asarray(drop))
-            T = np.vstack([T[keep], T[m : m + 1]])
-            basis = basis[keep]
-            m = len(basis)
-
-    # phase 2
-    allowed[art_start:] = False
-    T[m, :] = 0.0
-    T[m, :n_act] = c_act
-    for r in range(m):
-        cb = c_act[basis[r]] if basis[r] < n_act else 0.0
-        if cb != 0.0:
-            T[m, :] -= cb * T[r, :]
-    status, piv = _kernels.run_phase(
-        T, basis, allowed, params.bland_after, params.max_pivots,
-        params.feas_tol, params.pivot_tol,
+            lo[idx] = hi[idx] = val
+    cost = -c if model.maximize else c
+    T = np.zeros((m + 1, n + m), order="F")
+    T[:m, :n] = -A
+    T[:m, n:] = np.eye(m)
+    T[m, :n] = cost
+    z = np.empty(n + m)
+    z[:n] = np.where(cost >= 0, lo[:n], hi[:n])
+    z[n:] = A @ z[:n]
+    basis = np.arange(n, n + m)
+    status, iterations = _kernels.dual_phase(
+        T, basis, z, lo, hi, BLAND_AFTER, MAX_PIVOTS, FEAS_TOL, PIVOT_TOL
     )
-    iterations += piv
     if status == 2:
-        raise NumericalFailure(f"pivot limit {params.max_pivots} hit in phase 2")
+        raise NumericalFailure(f"pivot limit {MAX_PIVOTS} hit")
     if status == 1:
-        return "Unbounded", None, iterations
-
-    y = np.zeros(N)
-    y[basis] = T[:m, N]
-    x_full = fixed_vals
-    x_full[active] = np.clip(y[:n_act], 0.0, ub_rows) + lb[active]
-    return "Optimal", x_full, iterations
+        return "Infeasible", None, iterations
+    return "Optimal", np.clip(z[:n], lo[:n], hi[:n]), iterations
 
 
-def _lp(model: MipModel, params: SolveParams, fixes=None) -> SolveResult:
+def _lp(model: MipModel, fixes=None) -> SolveResult:
     t0 = time.perf_counter()
-    status, x_full, iters = _simplex(model, params, fixes)
+    status, x_full, iters = _simplex(model, fixes)
     rt = time.perf_counter() - t0
     if status != "Optimal":
         return SolveResult(status, None, np.nan, np.nan, np.nan, 0, rt, iters)
@@ -382,13 +284,13 @@ def _lp(model: MipModel, params: SolveParams, fixes=None) -> SolveResult:
     return SolveResult("Optimal", x, val, val, 0.0, 0, rt, iters)
 
 
-def solve_lp(model: MipModel, params: SolveParams | None = None) -> SolveResult:
+def solve_lp(model: MipModel) -> SolveResult:
     """Optimal basic (vertex) solution of the LP relaxation.
 
     Binary flags are ignored; bounds are honored.  The reported point is a
     vertex of the feasible region (basic solution of the simplex).
     """
-    return _lp(model, params or SolveParams())
+    return _lp(model)
 
 
 # ---------------------------------------------------------------------------
@@ -455,13 +357,11 @@ def solve_mip(
     def elapsed():
         return time.perf_counter() - t0
 
-    root = _lp(model, params)
+    root = _lp(model)
     iterations += root.iterations
     nodes += 1
     if root.status == "Infeasible":
         return SolveResult("Infeasible", None, np.nan, np.nan, np.nan, nodes, elapsed(), iterations)
-    if root.status == "Unbounded":
-        return SolveResult("Unbounded", None, np.nan, np.nan, np.nan, nodes, elapsed(), iterations)
 
     inc_x: dict[str, float] | None = None
     inc_val = -np.inf if model.maximize else np.inf
@@ -481,7 +381,7 @@ def solve_mip(
     def integral(x: dict[str, float]) -> bool:
         return all(
             abs(x[model.variables[i].name] - round(x[model.variables[i].name]))
-            <= params.int_tol
+            <= INT_TOL
             for i in binaries
         )
 
@@ -511,7 +411,7 @@ def solve_mip(
             i: (1.0 if root.x[model.variables[i].name] >= 0.5 else 0.0)
             for i in binaries
         }
-        heur = _lp(model, params, fixes)
+        heur = _lp(model, fixes)
         iterations += heur.iterations
         if heur.status == "Optimal" and not vet_cuts(heur.x):
             try_incumbent(heur.x, heur.value)
@@ -536,18 +436,18 @@ def solve_mip(
             break
         neg_bound, _, fixes = heapq.heappop(heap)
         node_bound = sense * neg_bound
-        if inc_x is not None and _gap(node_bound, inc_val) <= params.gap_tol:
+        if inc_x is not None and _gap(node_bound, inc_val) <= GAP_TOL:
             # every open node is bounded by this one (best-bound order)
             bound_final = combine(node_bound, inc_val)
             break
-        res = _lp(model, params, fixes)
+        res = _lp(model, fixes)
         iterations += res.iterations
         nodes += 1
         if res.status != "Optimal":
             continue
         x, val = res.x, res.value
         if inc_x is not None and (
-            not better(cap(val), inc_val) or _gap(cap(val), inc_val) <= params.gap_tol
+            not better(cap(val), inc_val) or _gap(cap(val), inc_val) <= GAP_TOL
         ):
             continue
         while integral(x):
@@ -555,7 +455,7 @@ def solve_mip(
                 try_incumbent(x, val)
                 x = None
                 break
-            res = _lp(model, params, fixes)
+            res = _lp(model, fixes)
             iterations += res.iterations
             if res.status != "Optimal":
                 x = None
@@ -591,7 +491,8 @@ def solve_mip(
     if inc_x is None:
         final_status = "TimeLimit" if status == "TimeLimit" else "Infeasible"
         return SolveResult(
-            final_status, None, np.nan, np.nan, np.nan, nodes, elapsed(), iterations
+            final_status, None, np.nan, np.nan, np.nan, nodes, elapsed(), iterations,
+            root.value,
         )
     if bound_final is None:
         if heap:  # stopped early; heap[0] holds the best open bound
@@ -600,7 +501,9 @@ def solve_mip(
             bound_final = inc_val
     gap = _gap(bound_final, inc_val)
     final = "Optimal" if status == "Optimal" else status
-    return SolveResult(final, inc_x, inc_val, bound_final, gap, nodes, elapsed(), iterations)
+    return SolveResult(
+        final, inc_x, inc_val, bound_final, gap, nodes, elapsed(), iterations, root.value
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,12 @@ import csv
 import dataclasses
 import io
 import json
+import time
 
 import pytest
 
 import anchorsched as asd
-from anchorsched import cli
+from anchorsched import cli, formulations
 from anchorsched.cli import console_main
 
 VALID_META = {"label": "manual", "seed": 0, "prng": "philox"}
@@ -287,6 +288,42 @@ def test_numerical_failure_is_a_status_and_an_exit_code(
     for method in ("dom", "auto"):
         assert console_main(["solve", str(path), "--method", method]) == 5
         assert "pivot limit" in capsys.readouterr().err
+
+
+def test_bench_lp_value_is_the_root_lp(tmp_path):
+    # read off the branch-and-bound root, equal to a separate relaxation solve
+    for label, seed in (("ER_pRand_dRand_G2", 0), ("SP_pQCri_dUnif_G1", 1),
+                        ("ER_pQCri_dRand_G3", 2)):
+        inst = asd.make_instance(label, 8, seed)
+        path = tmp_path / f"{label}.json"
+        asd.write_instance(inst, path)
+        for method in ("std", "dom", "lay"):
+            rec = cli.bench_task(str(path), method, 30.0)
+            assert rec.solved, (label, method)
+            want = asd.lp_bound(asd.preprocess_deadline(inst), method)
+            assert rec.lp_value == want, (label, method)
+
+
+def test_mip_runtime_counts_setup(monkeypatch, fig_budget):
+    # LD, deadline preprocessing and the build count toward a MIP route's time
+    real = formulations.worst_case_longest_paths
+
+    def slow(*args):
+        time.sleep(0.05)
+        return real(*args)
+
+    monkeypatch.setattr(formulations, "worst_case_longest_paths", slow)
+    params = asd.SolveParams(time_limit=30.0)
+    reports = [asd.solve_auto(fig_budget, params),
+               asd.solve_auto(fig_budget, params, cuts=True)]
+    for method, chvatal, cuts in (("std", False, False), ("dom", False, False),
+                                  ("dom", False, True), ("lay", True, False)):
+        reports.append(cli._solve_one(fig_budget, method, params, chvatal, cuts))
+    assert [r.method for r in reports] == [
+        "dom", "dom_cuts", "std", "dom", "dom_cuts", "lay"
+    ]
+    for rep in reports:
+        assert rep.solved and rep.runtime >= 0.05, rep.method
 
 
 # ---------------------------------------------------------------------------

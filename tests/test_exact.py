@@ -306,3 +306,12 @@ def test_report_shapes(fig_box, fig_budget):
     rep = asd.solve_auto(dataclasses.replace(fig_budget, deadline=3.5))
     assert rep.method == "dom" and rep.status == "Infeasible"
     assert not rep.solved and rep.solution is None
+
+
+@pytest.mark.parametrize("label", ["ER_pZero_dRand_G3", "ER_pQCri_dRand_G3"])
+def test_solve_auto_on_former_simplex_stalls(label):
+    # node LPs here once ran into the 200 000-pivot limit (NumericalFailure)
+    inst = asd.make_instance(label, 20, 0)
+    rep = asd.solve_auto(inst)
+    assert rep.method == "dom" and rep.status == "Optimal"
+    assert rep.objective == pytest.approx(asd.brute_force_optimum(inst).objective)

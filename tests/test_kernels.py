@@ -15,46 +15,61 @@ from anchorsched.uncertainty import _state_layout
 from .oracles import random_dag
 
 
-def _random_tableau(rng, m, k, degenerate):
-    """Feasible phase tableau: k structural columns, then an identity basis."""
-    N = k + m
-    T = np.zeros((m + 1, N + 1))
-    A = rng.integers(-2, 5, (m, k)).astype(float)
+def _random_boxed_tableau(rng, m, k, degenerate):
+    """Dual-feasible start of ``A x - s = 0``: k boxed structurals, m logicals.
+
+    Structurals have bounds of either sign, some fixed (lb = ub); each row's
+    logical gets the bounds of a random sense.  Rows hold at an integer point
+    of the box, except in a fifth of the draws, which may be infeasible.
+    Degenerate draws zero many costs, so ratios of zero (degenerate pivots)
+    are common.
+    """
+    A = rng.integers(-3, 4, (m, k)).astype(float)
     A[rng.random((m, k)) < 0.4] = 0.0
-    T[:m, :k] = A
-    T[:m, k:N] = np.eye(m)
-    rhs = rng.integers(0, 6, m).astype(float)
+    lo = rng.integers(-3, 2, k).astype(float)
+    hi = lo + rng.integers(0, 4, k) * (rng.random(k) < 0.85)
+    cost = rng.integers(-4, 5, k).astype(float)
     if degenerate:
-        rhs[rng.random(m) < 0.6] = 0.0
-    T[:m, N] = rhs
-    T[m, :k] = rng.integers(-5, 4, k)
-    basis = np.arange(k, N, dtype=np.int64)
-    allowed = rng.random(N) < 0.9
-    return T, basis, allowed
+        cost[rng.random(k) < 0.6] = 0.0
+    x = np.where(cost >= 0, lo, hi)
+    sense = rng.integers(0, 3, m)  # 0: <=, 1: >=, 2: =
+    inside = lo + rng.integers(0, (hi - lo + 1).astype(int))  # the rows hold here
+    slack = rng.integers(0, 3, m)
+    rhs = A @ inside + np.where(sense == 0, slack, np.where(sense == 1, -slack, 0))
+    if rng.random() < 0.2:
+        rhs += rng.integers(-6, 7, m)
+    T = np.zeros((m + 1, k + m))
+    T[:m, :k] = -A
+    T[:m, k:] = np.eye(m)
+    T[m, :k] = cost
+    z = np.concatenate([x, A @ x])
+    lo = np.concatenate([lo, np.where(sense == 0, -np.inf, rhs)])
+    hi = np.concatenate([hi, np.where(sense == 1, np.inf, rhs)])
+    return T, np.arange(k, k + m, dtype=np.int64), z, lo, hi
 
 
-def test_run_phase_vec_matches_loop():
+def test_dual_phase_vec_matches_loop():
     rng = np.random.default_rng(7)
     statuses = set()
-    for trial in range(300):
+    for trial in range(400):
         m = int(rng.integers(0, 12))  # m = 0: no rows, only the cost row
         k = int(rng.integers(1, 14))
-        T, basis, allowed = _random_tableau(rng, m, k, degenerate=trial % 2 == 0)
+        T, basis, z, lo, hi = _random_boxed_tableau(rng, m, k, trial % 2 == 0)
         bland_after = int(rng.choice([-1, 0, 1, 1000]))  # -1: Bland from the start
         max_pivots = int(rng.choice([2, 200]))
-        T_loop, b_loop = T.copy(), basis.copy()
-        T_vec, b_vec = T.copy(), basis.copy()
-        want = _kernels._run_phase_loop(
-            T_loop, b_loop, allowed, bland_after, max_pivots, 1e-7, 1e-9
+        loop = T.copy(), basis.copy(), z.copy()
+        vec = T.copy(), basis.copy(), z.copy()
+        want = _kernels._dual_phase_loop(
+            *loop, lo, hi, bland_after, max_pivots, 1e-7, 1e-9
         )
-        got = _kernels._run_phase_vec(
-            T_vec, b_vec, allowed, bland_after, max_pivots, 1e-7, 1e-9
+        got = _kernels._dual_phase_vec(
+            *vec, lo, hi, bland_after, max_pivots, 1e-7, 1e-9
         )
         assert got == want, trial
-        assert np.array_equal(b_vec, b_loop), trial
-        assert np.array_equal(T_vec, T_loop), trial
+        for a, b in zip(vec, loop):
+            assert np.array_equal(a, b), trial
         statuses.add(want[0])
-    assert statuses == {0, 1, 2}  # optimal, unbounded and pivot-limit runs
+    assert statuses == {0, 1, 2}  # optimal, infeasible and pivot-limit runs
 
 
 def _random_layout(rng, g, kind):

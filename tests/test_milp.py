@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import anchorsched as asd
-from anchorsched.milp import MipModel, SolveParams
+from anchorsched.milp import MipModel, SolveParams, _lp
 
 from .conftest import five_job_graph
 
@@ -30,60 +30,99 @@ def test_model_validation():
         m.add_row({"x": 1.0}, "!=", 1.0)
 
 
-def _random_lp(rng, nvar, nrow):
+def _random_lp(rng, nvar, nrow, nbin=0):
+    """Boxed LP with <=, >= and = rows and bounds of either sign.
+
+    ``nbin`` binaries join ``nvar`` continuous variables (some of them fixed,
+    lb = ub).  Rows hold at an integer point of the box, up to some slack,
+    except for random shifts that may make a draw infeasible.
+    """
     m = MipModel()
     for k in range(nvar):
-        m.add_var(f"v{k}", 0.0, float(rng.integers(1, 8)))
-    A = rng.integers(-3, 4, (nrow, nvar)).astype(float)
-    b = rng.integers(1, 12, nrow).astype(float)
-    senses = rng.choice(["<=", ">="], nrow)
-    for r in range(nrow):
-        coefs = {f"v{k}": A[r, k] for k in range(nvar) if A[r, k]}
+        lb = float(rng.integers(-4, 3))
+        m.add_var(f"v{k}", lb, lb + float(rng.integers(0, 8)))
+    for k in range(nbin):
+        m.add_binary(f"b{k}")
+    inside = {v.name: float(rng.integers(v.lb, v.ub + 1)) for v in m.variables}
+    for _ in range(nrow):
+        coefs = {
+            v.name: float(c)
+            for v, c in zip(m.variables, rng.integers(-3, 4, len(m.variables)))
+            if c
+        }
         if not coefs:
             continue
-        # keep >= rows satisfiable at the origin-ish region
-        rhs = float(b[r]) if senses[r] == "<=" else 0.0
-        m.add_row(coefs, senses[r], rhs)
-    c = rng.integers(-4, 5, nvar).astype(float)
-    m.set_objective({f"v{k}": c[k] for k in range(nvar)}, maximize=True)
-    return m, A, c
+        sense = str(rng.choice(["<=", ">=", "="]))
+        rhs = sum(c * inside[name] for name, c in coefs.items())
+        if sense != "=":
+            rhs += float(rng.integers(0, 4)) * (1.0 if sense == "<=" else -1.0)
+        if rng.random() < 0.15:
+            rhs += float(rng.integers(-5, 6))
+        m.add_row(coefs, sense, rhs)
+    m.set_objective(
+        {v.name: float(rng.integers(-4, 5)) for v in m.variables},
+        maximize=bool(rng.random() < 0.7),
+    )
+    return m
+
+
+def _scipy_lp(scipy_opt, m, fixes):
+    """The LP relaxation of ``m`` with ``fixes`` (index -> value) by HiGHS."""
+    idx = {v.name: k for k, v in enumerate(m.variables)}
+    A_ub, b_ub, A_eq, b_eq = [], [], [], []
+    for row in m.rows:
+        a = np.zeros(m.n_vars)
+        for name, c in row.coefs.items():
+            a[idx[name]] = c
+        if row.sense == "<=":
+            A_ub.append(a); b_ub.append(row.rhs)
+        elif row.sense == ">=":
+            A_ub.append(-a); b_ub.append(-row.rhs)
+        else:
+            A_eq.append(a); b_eq.append(row.rhs)
+    bounds = [(v.lb, v.ub) for v in m.variables]
+    for k, val in fixes.items():
+        bounds[k] = (val, val)
+    c = m.objective_vector()
+    return scipy_opt.linprog(
+        -c if m.maximize else c,
+        A_ub=np.array(A_ub) if A_ub else None,
+        b_ub=np.array(b_ub) if b_ub else None,
+        A_eq=np.array(A_eq) if A_eq else None,
+        b_eq=np.array(b_eq) if b_eq else None,
+        bounds=bounds,
+        method="highs",
+    )
 
 
 def test_solve_lp_matches_scipy():
     scipy_opt = pytest.importorskip("scipy.optimize")
     rng = np.random.default_rng(23)
-    for _ in range(40):
-        nvar = int(rng.integers(2, 6))
-        nrow = int(rng.integers(1, 6))
-        m, _, _ = _random_lp(rng, nvar, nrow)
-        res = asd.solve_lp(m)
-        A, senses, rhs = m._dense()
-        c = m.objective_vector()
-        A_ub, b_ub, A_eq, b_eq = [], [], [], []
-        for row, s, r in zip(A, senses, rhs):
-            if s == "<=":
-                A_ub.append(row); b_ub.append(r)
-            elif s == ">=":
-                A_ub.append(-row); b_ub.append(-r)
-            else:
-                A_eq.append(row); b_eq.append(r)
-        ref = scipy_opt.linprog(
-            -c,
-            A_ub=np.array(A_ub) if A_ub else None,
-            b_ub=np.array(b_ub) if b_ub else None,
-            A_eq=np.array(A_eq) if A_eq else None,
-            b_eq=np.array(b_eq) if b_eq else None,
-            bounds=[(v.lb, v.ub) for v in m.variables],
-            method="highs",
-        )
+    statuses = set()
+    for trial in range(120):
+        nbin = int(rng.integers(0, 4))
+        m = _random_lp(rng, int(rng.integers(1, 6)), int(rng.integers(1, 7)), nbin)
+        fixes = {}
+        if nbin and trial % 2:  # a branch-and-bound node: some binaries fixed
+            fixes = {
+                m.var_index(f"b{k}"): float(rng.integers(0, 2))
+                for k in range(nbin)
+                if rng.random() < 0.7
+            }
+        res = _lp(m, fixes) if fixes else asd.solve_lp(m)
+        ref = _scipy_lp(scipy_opt, m, fixes)
+        assert ref.status in (0, 2), trial  # boxed: optimal or infeasible
         if ref.status == 0:
-            assert res.status == "Optimal"
-            assert res.value == pytest.approx(-ref.fun, abs=1e-6)
-            assert m.max_violation(res.x) <= 1e-6
-        elif ref.status == 2:
-            assert res.status == "Infeasible"
-        elif ref.status == 3:
-            assert res.status == "Unbounded"
+            assert res.status == "Optimal", trial
+            sign = -1.0 if m.maximize else 1.0
+            assert res.value == pytest.approx(sign * ref.fun, abs=1e-6), trial
+            assert m.max_violation(res.x) <= 1e-6, trial
+            for k, val in fixes.items():
+                assert res.x[m.variables[k].name] == val, trial
+        else:
+            assert res.status == "Infeasible", trial
+        statuses.add((res.status, bool(fixes)))
+    assert len(statuses) == 4  # optimal and infeasible, with and without fixes
 
 
 def test_lp_statuses():
@@ -116,10 +155,8 @@ def _enumerate_binary_opt(model):
     names = [v.name for v in model.variables if v.binary]
     best = None
     for bits in itertools.product((0.0, 1.0), repeat=len(names)):
-        from anchorsched.milp import _lp
-
         fixes = {model.var_index(n): b for n, b in zip(names, bits)}
-        r = _lp(model, SolveParams(), fixes)
+        r = _lp(model, fixes)
         if r.status != "Optimal":
             continue
         if best is None or r.value > best + 1e-12:
