@@ -13,8 +13,9 @@ loop build as plain Python against its twin.  The kernels:
 * ``dual_phase`` — the bounded dual simplex on a dense tableau: bounds stay
   on the variables, and the all-logical start basis is dual feasible, so one
   phase solves the LP.
-* ``mask_makespans`` / ``scan_best`` — worst-case makespans of anchored
-  subsets given as bitmasks, for the exhaustive optimum.
+* ``mask_makespans`` — makespans of the earliest baselines of anchored
+  subsets given as bitmasks, for the exhaustive optimum.  Every comparable
+  tail feeds an anchored head, anchored or not (the dominance rule).
 
 Graph kernels work on a CSR layout of incoming arcs: for node ``v`` the arcs
 ending at ``v`` occupy ``in_src[in_ptr[v]:in_ptr[v+1]]`` (tail node ids) with
@@ -142,8 +143,9 @@ def _sweep_vec(
 # first column among ratio ties.  Returns (status, pivots) with status
 # 0=optimal, 1=infeasible (no column can repair the leaving row), 2=pivot
 # limit.  The numpy build updates only the columns where the pivot row is
-# nonzero, on a column-major copy of T: elsewhere the update would subtract
-# zero, so values and pivot choices are those of the full rank-one update.
+# nonzero: elsewhere the update would subtract zero, so values and pivot
+# choices are those of the full rank-one update.  It gathers whole columns,
+# so it is fastest on a column-major T, which is how ``milp`` allocates it.
 
 _TIE = 1e-12
 _DEGEN = 1e-10
@@ -228,15 +230,6 @@ def _dual_phase_loop(T, basis, z, lo, hi, bland_after, max_pivots, ftol, ptol):
 
 
 def _dual_phase_vec(T, basis, z, lo, hi, bland_after, max_pivots, ftol, ptol):
-    # the update gathers whole columns, so pivot on a column-major copy
-    F = np.asfortranarray(T)
-    out = _dual_phase_cols(F, basis, z, lo, hi, bland_after, max_pivots, ftol, ptol)
-    if F is not T:
-        T[...] = F
-    return out
-
-
-def _dual_phase_cols(T, basis, z, lo, hi, bland_after, max_pivots, ftol, ptol):
     m = T.shape[0] - 1
     if m == 0:
         return 0, 0
@@ -302,13 +295,16 @@ def _dual_phase_cols(T, basis, z, lo, hi, bland_after, max_pivots, ftol, ptol):
 
 
 # ---------------------------------------------------------------------------
-# anchored-set subset scan (brute force)
+# anchored-set subset makespans (brute force)
 # ---------------------------------------------------------------------------
 # Jobs are bits 0..n-1 of a mask (bit j-1 <-> job j).  ``topo_rest`` is the
 # topological order of all nodes except s.  Original arcs come in the in-CSR
-# with weight p[tail]; candidate anchoring arcs (i, j) for comparable pairs
-# come in a second in-CSR over jobs j with weight LD[i, j], active when j is in
-# the mask and i is s or in the mask.
+# with weight p[tail]; anchoring arcs (i, j) for every comparable pair come in
+# a second in-CSR over jobs j with weight LD[i, j], active when j is in the
+# mask.  The tail's bit is never read: the earliest schedule of an anchored
+# set satisfies z_j - z_i >= LD(i, j) for every predecessor i of an anchored
+# j, since LD(k, j) >= L0(k, i) + LD(i, j), so arcs from unanchored tails
+# leave it unchanged.
 
 
 def _mask_makespans_loop(
@@ -328,11 +324,9 @@ def _mask_makespans_loop(
                     best = c
             if v <= n and (mask >> (v - 1)) & 1:
                 for k in range(an_ptr[v], an_ptr[v + 1]):
-                    u = an_src[k]
-                    if u == 0 or (mask >> (u - 1)) & 1:
-                        c = z[u] + an_wt[k]
-                        if c > best:
-                            best = c
+                    c = z[an_src[k]] + an_wt[k]
+                    if c > best:
+                        best = c
             z[v] = best
         out[q] = z[n_nodes - 1]
     return out
@@ -341,66 +335,27 @@ def _mask_makespans_loop(
 def _mask_makespans_vec(
     masks, n, n_nodes, topo_rest, in_ptr, in_src, in_wt, an_ptr, an_src, an_wt
 ):
-    nb = len(masks)
-    bits = ((masks[:, None] >> np.arange(n, dtype=np.int64)) & 1).astype(bool)
-    z = np.full((nb, n_nodes), NEG)
+    z = np.full((len(masks), n_nodes), NEG)
     z[:, 0] = 0.0
-    for v in topo_rest:
+    for v in topo_rest.tolist():
         lo, hi = in_ptr[v], in_ptr[v + 1]
         acc = np.max(z[:, in_src[lo:hi]] + in_wt[lo:hi], axis=1)
         if v <= n:
-            jon = bits[:, v - 1]
-            for k in range(an_ptr[v], an_ptr[v + 1]):
-                u = an_src[k]
-                active = jon if u == 0 else (jon & bits[:, u - 1])
-                cand = np.where(active, z[:, u] + an_wt[k], NEG)
-                np.maximum(acc, cand, out=acc)
+            a, b = an_ptr[v], an_ptr[v + 1]
+            lag = np.max(z[:, an_src[a:b]] + an_wt[a:b], axis=1)
+            acc = np.where((masks >> (v - 1)) & 1, _max(acc, lag), acc)
         z[:, v] = acc
     return z[:, n_nodes - 1]
-
-
-def _scan_best_loop(
-    masks, wsub, n, n_nodes, topo_rest, in_ptr, in_src, in_wt, an_ptr, an_src, an_wt,
-    limit, eps,
-):
-    best = NEG
-    z = np.empty(n_nodes)
-    for q in range(len(masks)):
-        mask = masks[q]
-        w = wsub[mask]
-        if w <= best + 1e-12:
-            continue
-        z[0] = 0.0
-        for idx in range(len(topo_rest)):
-            v = topo_rest[idx]
-            bestv = NEG
-            for k in range(in_ptr[v], in_ptr[v + 1]):
-                c = z[in_src[k]] + in_wt[k]
-                if c > bestv:
-                    bestv = c
-            if v <= n and (mask >> (v - 1)) & 1:
-                for k in range(an_ptr[v], an_ptr[v + 1]):
-                    u = an_src[k]
-                    if u == 0 or (mask >> (u - 1)) & 1:
-                        c = z[u] + an_wt[k]
-                        if c > bestv:
-                            bestv = c
-            z[v] = bestv
-        if z[n_nodes - 1] <= limit + eps:
-            best = w
-    return best
 
 
 if USE_NUMBA:
     sweep = jit(_sweep_loop)
     dual_phase = jit(_dual_phase_loop)
     mask_makespans = jit(_mask_makespans_loop)
-    scan_best = jit(_scan_best_loop)
 else:
     sweep = _sweep_vec
     dual_phase = _dual_phase_vec
     mask_makespans = _mask_makespans_vec
-    scan_best = None  # brute force derives the best from mask_makespans blocks
 
 
 def warm_up():
@@ -428,10 +383,4 @@ def warm_up():
         masks, 1, 3, topo[1:], in_ptr, in_src, wt,
         np.array([0, 0, 0, 0], dtype=np.int64),
         np.zeros(0, dtype=np.int64), np.zeros(0),
-    )
-    scan_best(
-        masks, np.array([0.0, 1.0]), 1, 3, topo[1:], in_ptr, in_src, wt,
-        np.array([0, 0, 0, 0], dtype=np.int64),
-        np.zeros(0, dtype=np.int64), np.zeros(0),
-        10.0, 1e-6,
     )

@@ -22,7 +22,6 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from . import _kernels
-from ._backend import USE_NUMBA
 from .errors import DeadlineInfeasible, InfeasibleAnchoredSet, InstanceTooLarge
 from .graph import (
     EPS,
@@ -157,6 +156,18 @@ def is_anchored_set(
     return bool(z.makespan <= float(deadline) + tol)
 
 
+def _pairs_hold(
+    ld: LongestPathMatrix, x: np.ndarray, jobs: list[int], tol: float
+) -> bool:
+    """x_j - x_i >= LD(i, j) - tol over comparable pairs i in H ∪ {s}, j in H."""
+    tails = [S] + jobs
+    for j in jobs:
+        for i in tails:
+            if ld.reach[i, j] and x[j] - x[i] < ld.values[i, j] - tol:
+                return False
+    return True
+
+
 def is_x_anchored(
     g: PrecedenceGraph,
     ld: LongestPathMatrix,
@@ -170,13 +181,7 @@ def is_x_anchored(
     be a schedule of G.
     """
     x = require_schedule(g, x, tol=tol)
-    jobs = _check_anchor_set(g, anchored)
-    tails = [S] + jobs
-    for j in jobs:
-        for i in tails:
-            if ld.reach[i, j] and x[j] - x[i] < ld.values[i, j] - tol:
-                return False
-    return True
+    return _pairs_hold(ld, x, _check_anchor_set(g, anchored), tol)
 
 
 def recourse_feasible(
@@ -196,13 +201,7 @@ def recourse_feasible(
     jobs = _check_anchor_set(g, anchored)
     dv = np.zeros(g.n + 2)
     dv[1 : g.n + 1] = np.asarray(dev, dtype=float)
-    ld = all_pairs_longest(g, g.p + dv)
-    tails = [S] + jobs
-    for j in jobs:
-        for i in tails:
-            if ld.reach[i, j] and x[j] - x[i] < ld.values[i, j] - tol:
-                return False
-    return True
+    return _pairs_hold(all_pairs_longest(g, g.p + dv), x, jobs, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -211,29 +210,22 @@ def recourse_feasible(
 
 
 def _mask_arrays(inst: Instance, ld: LongestPathMatrix):
-    """CSR views of G and of all candidate anchoring arcs, for mask kernels."""
+    """CSR views of G and of every anchoring arc, for mask kernels."""
     g = inst.graph
     ptr, src = g._incoming_csr()
-    wt = g.p[src]
     topo_rest = np.asarray([v for v in g._topo if v != S], dtype=np.int64)
+    heads, tails = np.nonzero(ld.reach[: g.n + 1, 1 : g.n + 1].T)
+    heads += 1
     an_ptr = np.zeros(g.n + 2, dtype=np.int64)
-    an_src: list[int] = []
-    an_wt: list[float] = []
-    for j in range(1, g.n + 1):
-        for i in range(0, g.n + 1):
-            if ld.reach[i, j]:
-                an_ptr[j + 1] += 1
-                an_src.append(i)
-                an_wt.append(float(ld.values[i, j]))
-    np.cumsum(an_ptr, out=an_ptr)
+    np.cumsum(np.bincount(heads, minlength=g.n + 1), out=an_ptr[1:])
     return (
         topo_rest,
         ptr,
         src,
-        wt,
+        g.p[src],
         an_ptr,
-        np.asarray(an_src, dtype=np.int64),
-        np.asarray(an_wt, dtype=float),
+        tails.astype(np.int64),
+        ld.values[tails, heads],
     )
 
 
@@ -246,12 +238,14 @@ def _subset_weights(n: int, weights: np.ndarray) -> np.ndarray:
     return out
 
 
-def brute_force_optimum(inst: Instance, tol: float = EPS) -> AnchoredSolution:
+def brute_force_optimum(inst: Instance) -> AnchoredSolution:
     """Exhaustive maximum-weight anchored set (guarded to n <= 20 jobs).
 
-    Enumerates candidate sets by decreasing cardinality with a weight-bound
-    prune, then reports the dominant baseline of the best set.  Ties in total
-    weight (within 1e-9) resolve to the lexicographically smallest job set so
+    Visits candidate sets by decreasing total weight, in blocks.  The first
+    block that holds a feasible set fixes the best weight, since no later set
+    weighs more; the scan goes on only while sets within 1e-9 of it remain.
+    Reports the dominant baseline of the best set.  Ties in total weight
+    (within 1e-9) resolve to the lexicographically smallest job set so
     results are reproducible across backends.
     """
     g = inst.graph
@@ -261,48 +255,33 @@ def brute_force_optimum(inst: Instance, tol: float = EPS) -> AnchoredSolution:
         )
     ld = worst_case_longest_paths(g, inst.delta)
     nominal = all_pairs_longest(g, g.p)
-    if inst.deadline < nominal.values[S, g.t] - tol:
+    if inst.deadline < nominal.values[S, g.t] - EPS:
         raise DeadlineInfeasible(
             f"deadline {inst.deadline:g} below nominal makespan {nominal.values[S, g.t]:g}"
         )
-    topo_rest, ptr, src, wt, an_ptr, an_src, an_wt = _mask_arrays(inst, ld)
+    arrays = _mask_arrays(inst, ld)
     n = g.n
-    masks = np.arange(1 << n, dtype=np.int64)
     wsub = _subset_weights(n, inst.weights)
-    pop = _subset_weights(n, np.ones(n))
-    order = np.lexsort((masks, -pop))
-    ordered = masks[order]
-    deadline = float(inst.deadline)
+    order = np.argsort(-wsub, kind="stable")
+    limit = float(inst.deadline) + EPS
+    best = None
+    found = []
+    chunk = 1 << 14
+    for lo in range(0, len(order), chunk):
+        block = order[lo : lo + chunk]
+        if best is not None and wsub[block[0]] < best - 1e-9:
+            break
+        ok = block[_kernels.mask_makespans(block, n, n + 2, *arrays) <= limit]
+        if ok.size:
+            if best is None:
+                best = float(wsub[ok].max())
+            found.append(ok[wsub[ok] >= best - 1e-9])
 
-    if USE_NUMBA:
-        best = float(
-            _kernels.scan_best(
-                ordered, wsub, n, g.n + 2, topo_rest, ptr, src, wt,
-                an_ptr, an_src, an_wt, deadline, EPS,
-            )
-        )
-    else:
-        best = 0.0
-        chunk = 1 << 14
-        for lo in range(0, len(ordered), chunk):
-            block = ordered[lo : lo + chunk]
-            mk = _kernels.mask_makespans(
-                block, n, g.n + 2, topo_rest, ptr, src, wt, an_ptr, an_src, an_wt
-            )
-            ok = mk <= deadline + EPS
-            if np.any(ok):
-                best = max(best, float(wsub[block[ok]].max()))
-
-    # tie-break pass: among feasible sets within 1e-9 of the best weight,
-    # choose the lexicographically smallest job tuple
-    cand = masks[wsub >= best - 1e-9]
-    mk = _kernels.mask_makespans(
-        cand, n, g.n + 2, topo_rest, ptr, src, wt, an_ptr, an_src, an_wt
-    )
-    feas = cand[mk <= deadline + EPS]
+    # among feasible sets within 1e-9 of the best weight, choose the
+    # lexicographically smallest job tuple
     best_jobs: tuple[int, ...] | None = None
     best_w = -np.inf
-    for mask in feas.tolist():
+    for mask in np.sort(np.concatenate(found)).tolist():
         jobs = tuple(j + 1 for j in range(n) if mask >> j & 1)
         w = inst.weight_of(jobs)
         if w > best_w + 1e-9 or (abs(w - best_w) <= 1e-9 and (best_jobs is None or jobs < best_jobs)):

@@ -348,15 +348,17 @@ def latest_schedule(
 
 
 def is_schedule(g: PrecedenceGraph, x: Schedule | Sequence[float], tol: float = EPS) -> bool:
-    """True iff x_s = 0 and every arc constraint x_j - x_i >= p_i holds."""
+    """True iff x_s = 0 and every arc constraint x_j - x_i >= p_i holds.
+
+    Raises ValueError when x is not a vector of length n+2.
+    """
     xv = x.start if isinstance(x, Schedule) else np.asarray(x, dtype=float)
     if xv.shape != (g.n + 2,):
         raise ValueError(f"start vector must have length n+2={g.n + 2}")
-    if abs(xv[S]) > tol:
+    try:
+        require_schedule(g, xv, tol)
+    except NotASchedule:
         return False
-    for i, j in g.arcs:
-        if xv[j] - xv[i] < g.p[i] - tol:
-            return False
     return True
 
 

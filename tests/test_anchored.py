@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import anchorsched as asd
-from anchorsched.anchored import anchored_graph
+from anchorsched import _kernels
+from anchorsched.anchored import _mask_arrays, anchored_graph
 
 from .conftest import FIVE_DHAT, five_job_graph
 from .oracles import (
@@ -16,7 +17,7 @@ from .oracles import (
 )
 
 
-def _random_instance(rng, n, kind):
+def _random_instance(rng, n, kind, weighted=False):
     g = asd.PrecedenceGraph(
         n, random_dag(rng, n), rng.integers(1, 5, n).astype(float)
     )
@@ -47,8 +48,9 @@ def _random_instance(rng, n, kind):
         delta = asd.Scenarios(rows)
     nominal = asd.single_source_longest(g, 0, g.p)[g.t]
     deadline = float(nominal + rng.integers(0, 6))
+    weights = rng.integers(1, 4, n).astype(float) if weighted else np.ones(n)
     return asd.Instance(
-        graph=g, delta=delta, deadline=deadline, weights=np.ones(n), meta={}
+        graph=g, delta=delta, deadline=deadline, weights=weights, meta={}
     )
 
 
@@ -152,10 +154,14 @@ def test_recourse_feasible_matches_propagation():
 
 
 def test_brute_force_matches_subset_oracle():
+    # with unit weights the weight order of the scan is the size order;
+    # integer weights give it other orders and ties
     rng = np.random.default_rng(17)
     kinds = ("box", "budget", "one", "partition", "mixed", "scenarios")
-    for trial in range(18):
-        inst = _random_instance(rng, int(rng.integers(3, 6)), kinds[trial % 6])
+    for trial in range(36):
+        inst = _random_instance(
+            rng, int(rng.integers(3, 6)), kinds[trial % 6], weighted=trial >= 18
+        )
         sol = asd.brute_force_optimum(inst)
         want = best_anchored_weight(inst)
         assert sol.objective == pytest.approx(want, abs=1e-9), inst.delta
@@ -164,6 +170,29 @@ def test_brute_force_matches_subset_oracle():
             inst.graph, inst.delta, sol.schedule.start, sorted(sol.anchored)
         )
         assert sol.schedule.makespan <= inst.deadline + 1e-9
+
+
+def test_mask_makespans_match_dominant_schedule():
+    # both kernel builds let every comparable tail feed an anchored head; the
+    # dominance rule says that leaves the augmented graph's earliest schedule,
+    # which only adds arcs from anchored tails, unchanged
+    rng = np.random.default_rng(23)
+    kinds = ("box", "budget", "one", "partition", "mixed", "scenarios")
+    for trial in range(36):
+        inst = _random_instance(rng, int(rng.integers(2, 8)), kinds[trial % 6])
+        g = inst.graph
+        ld = asd.worst_case_longest_paths(g, inst.delta)
+        arrays = _mask_arrays(inst, ld)
+        masks = np.arange(1 << g.n, dtype=np.int64)
+        want = [
+            asd.dominant_schedule(
+                g, ld, [j + 1 for j in range(g.n) if mask >> j & 1]
+            ).makespan
+            for mask in masks.tolist()
+        ]
+        for build in (_kernels._mask_makespans_loop, _kernels._mask_makespans_vec):
+            got = build(masks, g.n, g.n + 2, *arrays)
+            assert np.array_equal(got, want), (trial, build.__name__)
 
 
 def test_brute_force_agrees_with_definition_lp():

@@ -8,8 +8,7 @@ import numpy as np
 
 import anchorsched as asd
 from anchorsched import _kernels
-from anchorsched.anchored import _mask_arrays, _subset_weights
-from anchorsched.graph import EPS
+from anchorsched.anchored import _mask_arrays
 from anchorsched.uncertainty import _state_layout
 
 from .oracles import random_dag
@@ -133,25 +132,3 @@ def test_mask_makespans_vec_matches_loop():
         want = _kernels._mask_makespans_loop(masks, n, n + 2, *arrays)
         got = _kernels._mask_makespans_vec(masks, n, n + 2, *arrays)
         assert np.array_equal(got, want), trial
-
-
-def test_scan_best_loop_matches_mask_makespans():
-    rng = np.random.default_rng(4)
-    outcomes = set()
-    for trial in range(60):
-        n = int(rng.integers(1, 8))
-        inst = _random_instance(rng, n)
-        arrays = _mask_arrays(inst, asd.worst_case_longest_paths(inst.graph, inst.delta))
-        masks = np.arange(1 << n, dtype=np.int64)
-        wsub = _subset_weights(n, inst.weights)
-        pop = _subset_weights(n, np.ones(n))
-        ordered = masks[np.lexsort((masks, -pop))]  # the brute-force scan order
-        got = _kernels._scan_best_loop(
-            ordered, wsub, n, n + 2, *arrays, inst.deadline, EPS
-        )
-        mk = _kernels._mask_makespans_vec(masks, n, n + 2, *arrays)
-        feasible = mk <= inst.deadline + EPS
-        want = wsub[feasible].max() if feasible.any() else -np.inf
-        assert got == want, trial
-        outcomes.add("none" if not feasible.any() else "all" if feasible.all() else "some")
-    assert outcomes == {"none", "some", "all"}
