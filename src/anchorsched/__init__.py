@@ -7,8 +7,9 @@ deviation occurs (an *anchored* set).  It provides:
 
 * worst-case longest-path machinery for box, budgeted, partitioned,
   mixed, and scenario uncertainty sets (:mod:`anchorsched.uncertainty`);
-* the anchored-set characterization through augmented graphs and dominant
-  schedules, plus a brute-force reference (:mod:`anchorsched.anchored`);
+* the anchored-set characterization through dominant schedules, built by
+  one recursion over the anchored jobs, plus a brute-force reference
+  (:mod:`anchorsched.anchored`);
 * three MIP formulations with chain-inequality separation and rounded
   bounds on a self-contained simplex / branch-and-bound engine
   (:mod:`anchorsched.formulations`, :mod:`anchorsched.milp`);
@@ -25,7 +26,6 @@ from ._backend import BACKEND
 from .anchored import (
     AnchoredSolution,
     Instance,
-    anchored_graph,
     brute_force_optimum,
     dominant_schedule,
     is_anchored_set,
@@ -162,7 +162,6 @@ __all__ = [
     "UnsupportedInstance",
     "UnsupportedUncertainty",
     "all_pairs_longest",
-    "anchored_graph",
     "brute_force_optimum",
     "budgeted_dp",
     "build_dom",

@@ -6,12 +6,16 @@ H.  Because a worst case exists pairwise, this reduces to the precedence
 tests x_j - x_i >= LD(i, j) over comparable pairs i, j in H ∪ {s}, where LD
 is the worst-case longest-path matrix.
 
-Consequently H admits *some* feasible baseline within deadline M iff the
-earliest schedule of the augmented graph — G plus an arc (i, j) of length
-LD(i, j) for every comparable pair with i in H ∪ {s}, j in H — finishes by
-M.  That earliest schedule is the dominant baseline for H: it additionally
-satisfies z_j - z_i >= LD(i, j) for *every* predecessor i of an anchored j,
-not only anchored ones, which is what the strengthened formulation exploits.
+Consequently H admits *some* feasible baseline within deadline M iff its
+earliest one, the dominant baseline z, finishes by M.  The anchored starts
+of z follow from one recursion over s and H in topological order:
+z_a = max(0, max over earlier u in H ∪ {s} of z_u + LD(u, a)).  Paths
+through unanchored nodes need no term of their own: if a path into a leaves
+its last node u of H ∪ {s} and reaches a from an unanchored i, its part
+after u is at most L0(u, i) + p_i <= LD(u, a).  The other nodes start at
+the earliest time G allows after those floors.  So z satisfies z_j - z_i >= LD(i, j) for *every* predecessor i of
+an anchored j, not only anchored ones, which is what the strengthened
+formulation exploits.
 """
 
 from __future__ import annotations
@@ -86,41 +90,21 @@ def _check_anchor_set(g: PrecedenceGraph, anchored: Iterable[int]) -> list[int]:
     return jobs
 
 
-def anchored_graph(
+def _anchored_starts(
     g: PrecedenceGraph, ld: LongestPathMatrix, anchored: Iterable[int]
-) -> tuple[tuple[int, int, float], ...]:
-    """Anchoring arcs (i, j, LD(i, j)) added to G for the candidate set.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes s and H in topological order, and their dominant-baseline starts.
 
-    One arc per comparable pair with tail in H ∪ {s} and head in H.  The
-    earliest schedule of G plus these arcs decides feasibility of H and, when
-    feasible, is its dominant baseline.
+    LD is -inf off reachability, so each anchored start is one vector max over
+    the nodes before it (see the module docstring).
     """
-    jobs = _check_anchor_set(g, anchored)
-    tails = [S] + jobs
-    arcs = []
-    for j in jobs:
-        for i in tails:
-            if ld.reach[i, j]:
-                arcs.append((i, j, float(ld.values[i, j])))
-    return tuple(arcs)
-
-
-def _earliest_augmented(
-    g: PrecedenceGraph, extra: Iterable[tuple[int, int, float]]
-) -> Schedule:
-    """Earliest schedule of G with extra minimum-lag arcs added."""
-    incoming: list[list[tuple[int, float]]] = [[] for _ in range(g.n + 2)]
-    for i, j in g.arcs:
-        incoming[j].append((i, g.p[i]))
-    for i, j, w in extra:
-        incoming[j].append((i, w))
-    start = np.zeros(g.n + 2)
-    for v in g._topo:
-        best = 0.0 if v == S else max(
-            (start[i] + w for i, w in incoming[v]), default=0.0
-        )
-        start[v] = max(best, 0.0)
-    return Schedule(start=start)
+    chosen = set(_check_anchor_set(g, anchored))
+    nodes = np.array([S] + [v for v in g._topo if v in chosen])
+    lags = ld.values[np.ix_(nodes, nodes)]
+    z = np.zeros(len(nodes))
+    for k in range(1, len(nodes)):
+        z[k] = max(0.0, (z[:k] + lags[:k, k]).max())
+    return nodes, z
 
 
 def dominant_schedule(
@@ -136,12 +120,18 @@ def dominant_schedule(
     strengthened pair constraints whenever any baseline is.  With a deadline,
     raises InfeasibleAnchoredSet if even this schedule overruns it.
     """
-    z = _earliest_augmented(g, anchored_graph(g, ld, anchored))
-    if deadline is not None and z.makespan > float(deadline) + EPS:
+    nodes, z = _anchored_starts(g, ld, anchored)
+    start = np.zeros(g.n + 2)
+    start[nodes] = z
+    for v in g._topo:
+        for i in g._pred[v]:
+            start[v] = max(start[v], start[i] + g.p[i])
+    sched = Schedule(start=start)
+    if deadline is not None and sched.makespan > float(deadline) + EPS:
         raise InfeasibleAnchoredSet(
-            f"anchored set needs makespan {z.makespan:g} > deadline {float(deadline):g}"
+            f"anchored set needs makespan {sched.makespan:g} > deadline {float(deadline):g}"
         )
-    return z
+    return sched
 
 
 def is_anchored_set(
@@ -149,11 +139,10 @@ def is_anchored_set(
     ld: LongestPathMatrix,
     anchored: Iterable[int],
     deadline: float,
-    tol: float = EPS,
 ) -> bool:
     """Can some baseline within the deadline anchor the given set?"""
-    z = _earliest_augmented(g, anchored_graph(g, ld, anchored))
-    return bool(z.makespan <= float(deadline) + tol)
+    nodes, z = _anchored_starts(g, ld, anchored)
+    return bool((z + g.to_sink()[nodes]).max() <= float(deadline) + EPS)
 
 
 def _pairs_hold(

@@ -48,7 +48,6 @@ from .errors import (
 from .graph import (
     S,
     LongestPathMatrix,
-    Schedule,
     all_pairs_longest,
     single_source_longest,
     topological_order,
@@ -58,6 +57,9 @@ from .uncertainty import Budgeted, _dev_full, normalize, worst_case_longest_path
 
 #: violation tolerance for chain separation
 SEP_TOL = 1e-6
+
+#: root separation rounds before ``solve_dom_cuts`` gives up
+MAX_CUT_ROUNDS = 5000
 
 
 def _node_label(g, v: int) -> str:
@@ -480,31 +482,17 @@ def chain_cut_row(
 # ---------------------------------------------------------------------------
 
 
-def _extract_solution(
-    inst: Instance, model: MipModel, res: SolveResult, which: str
+def _decode(
+    inst: Instance, ld: LongestPathMatrix, res: SolveResult
 ) -> AnchoredSolution | None:
+    """The anchored set read from h, its dominant baseline and its weight."""
     if res.x is None:
         return None
     g = inst.graph
     anchored = frozenset(j for j in g.jobs if res.x[f"h_{j}"] >= 0.5)
-    which = which.lower()
-    start = np.zeros(g.n + 2)
-    if which == "std":
-        prefix = "x_"
-    elif which == "dom":
-        prefix = "z_"
-    else:
-        gamma = max(
-            int(name.split("_")[0][1:])
-            for name in res.x
-            if name.startswith("x") and "_" in name and not name.startswith("h_")
-        )
-        prefix = f"x{gamma}_"
-    for v in range(g.n + 2):
-        start[v] = res.x[f"{prefix}{_node_label(g, v)}"]
-    objective = float(sum(inst.weights[j - 1] for j in anchored))
+    schedule = dominant_schedule(g, ld, sorted(anchored), inst.deadline)
     return AnchoredSolution(
-        schedule=Schedule(start=start), anchored=anchored, objective=objective
+        schedule=schedule, anchored=anchored, objective=inst.weight_of(anchored)
     )
 
 
@@ -548,12 +536,18 @@ def solve_formulation(
     params: SolveParams | None = None,
     chvatal: bool = False,
 ) -> tuple[SolveResult, AnchoredSolution | None]:
-    """Build one formulation, solve it as a MIP, and decode the solution."""
+    """Build one formulation, solve it as a MIP, and decode the solution.
+
+    Every model decodes to the dominant baseline of its anchored set, not to
+    the LP's schedule variables.
+    """
     which = which.lower()
     model, ld = _build(inst, which, chvatal)
     heuristic = _greedy_anchored_heuristic(inst, ld, which) if which != "lay" else None
     res = solve_mip(model, params, heuristic=heuristic)
-    return res, _extract_solution(inst, model, res, which)
+    if ld is None and res.x is not None:
+        ld = worst_case_longest_paths(inst.graph, inst.delta)
+    return res, _decode(inst, ld, res)
 
 
 @dataclass
@@ -572,7 +566,6 @@ def solve_dom_cuts(
     inst: Instance,
     params: SolveParams | None = None,
     chvatal: bool = False,
-    max_rounds: int = 5000,
 ) -> tuple[SolveResult, AnchoredSolution | None, CutLoopStats]:
     """Solve via chain cuts on an h-only master instead of enumerated pairs.
 
@@ -607,7 +600,7 @@ def solve_dom_cuts(
         master.add_row(*chain_cut_row(inst, l0, ld, chain), name=f"chain{cuts}")
         cuts += 1
         rounds += 1
-        if rounds > max_rounds:
+        if rounds > MAX_CUT_ROUNDS:
             raise NumericalFailure("chain separation did not converge at the root")
 
     def callback(x: dict[str, float]):
@@ -625,13 +618,7 @@ def solve_dom_cuts(
         heuristic=_greedy_anchored_heuristic(inst, ld, "dom"),
     )
     stats = CutLoopStats(root_bound=root_bound, root_cuts=cuts, root_rounds=rounds)
-    if res.x is None:
-        return res, None, stats
-    anchored = frozenset(j for j in g.jobs if res.x[f"h_{j}"] >= 0.5)
-    schedule = dominant_schedule(g, ld, sorted(anchored), inst.deadline)
-    objective = float(sum(inst.weights[j - 1] for j in anchored))
-    sol = AnchoredSolution(schedule=schedule, anchored=anchored, objective=objective)
-    return res, sol, stats
+    return res, _decode(inst, ld, res), stats
 
 
 def lp_bound(inst: Instance, which: str = "dom", chvatal: bool = False) -> float:

@@ -46,7 +46,7 @@ class PrecedenceGraph:
     """
 
     __slots__ = (
-        "n", "arcs", "p", "_succ", "_pred", "_topo", "_reach",
+        "n", "arcs", "p", "_succ", "_pred", "_topo", "_reach", "_to_sink",
         "_in_csr", "_rev_csr", "_rev_heads",
     )
 
@@ -84,6 +84,7 @@ class PrecedenceGraph:
         self._pred = tuple(tuple(v) for v in pred)
         self._topo = self._toposort()
         self._reach = None
+        self._to_sink = None
         self._in_csr = None
         self._rev_csr = None
         self._rev_heads = None
@@ -155,6 +156,14 @@ class PrecedenceGraph:
             reach.setflags(write=False)
             self._reach = reach
         return self._reach
+
+    def to_sink(self) -> np.ndarray:
+        """Nominal longest-path values L0(v, t) from every node (cached)."""
+        if self._to_sink is None:
+            to_t = _longest_to_sink(self)
+            to_t.setflags(write=False)
+            self._to_sink = to_t
+        return self._to_sink
 
     def comparable_pairs(self) -> Iterator[tuple[int, int]]:
         """All (i, j) with a nonempty path i -> j, in sorted order."""

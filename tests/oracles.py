@@ -270,3 +270,42 @@ def random_dag(rng, n, density=0.4):
         if j not in tails:
             arcs.add((j, n + 1))
     return sorted(arcs)
+
+
+def random_instance(rng, n, kind, weighted=False):
+    """Random instance with uncertainty set ``kind``: box, budget, one,
+    partition, mixed or scenarios."""
+    g = asd.PrecedenceGraph(
+        n, random_dag(rng, n), rng.integers(1, 5, n).astype(float)
+    )
+    dhat = tuple(rng.integers(0, 3, n).astype(float))
+    if kind == "box":
+        delta = asd.Box(dhat)
+    elif kind == "budget":
+        delta = asd.Budgeted(dhat, int(rng.integers(1, n + 1)))
+    elif kind == "one":
+        delta = asd.OneDisruption(float(rng.integers(1, 3)))
+    elif kind == "partition":
+        cut = int(rng.integers(1, n))
+        parts = (tuple(range(1, cut + 1)), tuple(range(cut + 1, n + 1)))
+        gammas = (
+            int(rng.integers(1, cut + 1)),
+            int(rng.integers(1, n - cut + 1)),
+        )
+        delta = asd.PartitionBudgeted(dhat, parts, gammas)
+    elif kind == "mixed":
+        delta = asd.MixedBudgeted(
+            (asd.Budgeted(dhat, 1), asd.Budgeted(tuple(0.5 * d for d in dhat), n))
+        )
+    else:
+        rows = tuple(
+            tuple(rng.integers(0, 3, n).astype(float))
+            for _ in range(int(rng.integers(1, 4)))
+        )
+        delta = asd.Scenarios(rows)
+    nominal = asd.single_source_longest(g, 0, g.p)[g.t]
+    deadline = float(nominal + rng.integers(0, 6))
+    weights = rng.integers(1, 4, n).astype(float) if weighted else np.ones(n)
+    return asd.Instance(
+        graph=g, delta=delta, deadline=deadline, weights=weights, meta={}
+    )

@@ -1,57 +1,21 @@
-"""Anchored sets: augmented graphs, dominant schedules, brute force."""
+"""Anchored sets: dominant schedules, anchorability tests, brute force."""
 
 import numpy as np
 import pytest
 
 import anchorsched as asd
 from anchorsched import _kernels
-from anchorsched.anchored import _mask_arrays, anchored_graph
+from anchorsched.anchored import _mask_arrays
+from anchorsched.graph import _longest_to_sink
 
 from .conftest import FIVE_DHAT, five_job_graph
 from .oracles import (
     anchorable_lp,
     best_anchored_weight,
-    random_dag,
+    random_instance,
     recourse_ok,
     x_anchored_ok,
 )
-
-
-def _random_instance(rng, n, kind, weighted=False):
-    g = asd.PrecedenceGraph(
-        n, random_dag(rng, n), rng.integers(1, 5, n).astype(float)
-    )
-    dhat = tuple(rng.integers(0, 3, n).astype(float))
-    if kind == "box":
-        delta = asd.Box(dhat)
-    elif kind == "budget":
-        delta = asd.Budgeted(dhat, int(rng.integers(1, n + 1)))
-    elif kind == "one":
-        delta = asd.OneDisruption(float(rng.integers(1, 3)))
-    elif kind == "partition":
-        cut = int(rng.integers(1, n))
-        parts = (tuple(range(1, cut + 1)), tuple(range(cut + 1, n + 1)))
-        gammas = (
-            int(rng.integers(1, cut + 1)),
-            int(rng.integers(1, n - cut + 1)),
-        )
-        delta = asd.PartitionBudgeted(dhat, parts, gammas)
-    elif kind == "mixed":
-        delta = asd.MixedBudgeted(
-            (asd.Budgeted(dhat, 1), asd.Budgeted(tuple(0.5 * d for d in dhat), n))
-        )
-    else:
-        rows = tuple(
-            tuple(rng.integers(0, 3, n).astype(float))
-            for _ in range(int(rng.integers(1, 4)))
-        )
-        delta = asd.Scenarios(rows)
-    nominal = asd.single_source_longest(g, 0, g.p)[g.t]
-    deadline = float(nominal + rng.integers(0, 6))
-    weights = rng.integers(1, 4, n).astype(float) if weighted else np.ones(n)
-    return asd.Instance(
-        graph=g, delta=delta, deadline=deadline, weights=weights, meta={}
-    )
 
 
 def test_instance_validation():
@@ -71,19 +35,6 @@ def test_instance_validation():
     assert inst.n == 5 and inst.weight_of([1, 3]) == 2.0
 
 
-def test_anchored_graph_contents(fig_box):
-    g = fig_box.graph
-    ld = asd.worst_case_longest_paths(g, fig_box.delta)
-    extra = dict(((i, j), w) for i, j, w in anchored_graph(g, ld, [1, 2, 4]))
-    assert extra[(0, 1)] == pytest.approx(0.0)
-    assert extra[(0, 2)] == pytest.approx(0.0)
-    assert extra[(0, 4)] == pytest.approx(3.0)
-    assert extra[(1, 4)] == pytest.approx(3.0)
-    assert extra[(2, 4)] == pytest.approx(2.0)
-    # heads only in the anchored set, tails also from outside it
-    assert all(j in (1, 2, 4) for (_, j) in extra)
-
-
 def test_dominant_schedule_pairwise_property(fig_budget):
     g = fig_budget.graph
     ld = asd.worst_case_longest_paths(g, fig_budget.delta)
@@ -95,6 +46,34 @@ def test_dominant_schedule_pairwise_property(fig_budget):
                 assert z.start[j] - z.start[i] >= ld.values[i, j] - 1e-9
     with pytest.raises(asd.InfeasibleAnchoredSet):
         asd.dominant_schedule(g, ld, [1, 2, 3, 4, 5], deadline=4.5)
+
+
+def test_dominant_schedule_is_least_baseline():
+    # feasible for G and for every pair row into H, and tight at every node:
+    # in a DAG that makes it the least such baseline
+    rng = np.random.default_rng(29)
+    kinds = ("box", "budget", "one", "partition", "mixed", "scenarios")
+    for trial in range(36):
+        inst = random_instance(rng, int(rng.integers(2, 9)), kinds[trial % 6])
+        n = inst.n
+        # job labels in random topological positions
+        perm = np.concatenate(([0], rng.permutation(n) + 1, [n + 1]))
+        g = asd.PrecedenceGraph(
+            n, [(perm[i], perm[j]) for i, j in inst.graph.arcs], inst.graph.p[1 : n + 1]
+        )
+        assert np.array_equal(g.to_sink(), _longest_to_sink(g))
+        assert not g.to_sink().flags.writeable and g.to_sink() is g.to_sink()
+        ld = asd.worst_case_longest_paths(g, inst.delta)
+        H = [j for j in g.jobs if rng.random() < 0.5]
+        z = asd.dominant_schedule(g, ld, H).start
+        assert asd.is_schedule(g, z)
+        rows = [(i, j, ld.values[i, j]) for j in H for i in [0] + H if ld.reach[i, j]]
+        rows += [(i, j, g.p[i]) for i, j in g.arcs]
+        assert all(z[j] - z[i] >= w - 1e-9 for i, j, w in rows), trial
+        for v in range(1, n + 2):
+            assert abs(z[v]) <= 1e-9 or any(
+                j == v and abs(z[j] - z[i] - w) <= 1e-9 for i, j, w in rows
+            ), (trial, v)
 
 
 def test_is_anchored_set_golden(fig_box, fig_budget):
@@ -123,7 +102,7 @@ def test_is_x_anchored_matches_definition():
     rng = np.random.default_rng(11)
     kinds = ("box", "budget", "one", "partition", "mixed", "scenarios")
     for trial in range(30):
-        inst = _random_instance(rng, int(rng.integers(3, 7)), kinds[trial % 6])
+        inst = random_instance(rng, int(rng.integers(3, 7)), kinds[trial % 6])
         g = inst.graph
         ld = asd.worst_case_longest_paths(g, inst.delta)
         x = asd.earliest_schedule(g, g.p).start + rng.integers(0, 3, g.n + 2)
@@ -140,7 +119,7 @@ def test_recourse_feasible_matches_propagation():
     rng = np.random.default_rng(13)
     for _ in range(20):
         n = int(rng.integers(3, 7))
-        inst = _random_instance(rng, n, "budget")
+        inst = random_instance(rng, n, "budget")
         g = inst.graph
         dev = np.array(
             [rng.choice([0.0, d]) for d in inst.delta.dhat]
@@ -159,7 +138,7 @@ def test_brute_force_matches_subset_oracle():
     rng = np.random.default_rng(17)
     kinds = ("box", "budget", "one", "partition", "mixed", "scenarios")
     for trial in range(36):
-        inst = _random_instance(
+        inst = random_instance(
             rng, int(rng.integers(3, 6)), kinds[trial % 6], weighted=trial >= 18
         )
         sol = asd.brute_force_optimum(inst)
@@ -174,12 +153,12 @@ def test_brute_force_matches_subset_oracle():
 
 def test_mask_makespans_match_dominant_schedule():
     # both kernel builds let every comparable tail feed an anchored head; the
-    # dominance rule says that leaves the augmented graph's earliest schedule,
-    # which only adds arcs from anchored tails, unchanged
+    # dominance rule says that leaves the dominant baseline, whose recursion
+    # reads only anchored tails and s, unchanged
     rng = np.random.default_rng(23)
     kinds = ("box", "budget", "one", "partition", "mixed", "scenarios")
     for trial in range(36):
-        inst = _random_instance(rng, int(rng.integers(2, 8)), kinds[trial % 6])
+        inst = random_instance(rng, int(rng.integers(2, 8)), kinds[trial % 6])
         g = inst.graph
         ld = asd.worst_case_longest_paths(g, inst.delta)
         arrays = _mask_arrays(inst, ld)
@@ -199,7 +178,7 @@ def test_brute_force_agrees_with_definition_lp():
     pytest.importorskip("scipy")
     rng = np.random.default_rng(19)
     for trial in range(8):
-        inst = _random_instance(rng, 4, ("box", "budget")[trial % 2])
+        inst = random_instance(rng, 4, ("box", "budget")[trial % 2])
         sol = asd.brute_force_optimum(inst)
         g = inst.graph
         ld = asd.worst_case_longest_paths(g, inst.delta)

@@ -8,11 +8,20 @@ from anchorsched.formulations import (
     add_chvatal_rows,
     chain_cut_row,
     chain_weight,
+    _build,
+    _greedy_anchored_heuristic,
     _matrices,
 )
 
 from .conftest import five_job_graph
-from .oracles import path_longest, random_dag
+from .oracles import path_longest, random_dag, random_instance
+
+
+def _assert_decoded(inst, ld, sol):
+    """Every MIP route reports the dominant baseline and weight of its set."""
+    want = asd.dominant_schedule(inst.graph, ld, sorted(sol.anchored))
+    assert np.array_equal(sol.schedule.start, want.start)
+    assert sol.objective == inst.weight_of(sol.anchored)
 
 
 def test_three_formulations_agree_on_examples(fig_box, fig_budget, chain3):
@@ -31,6 +40,7 @@ def test_three_formulations_agree_on_examples(fig_box, fig_budget, chain3):
                 g, ld, sol.schedule.start, sorted(sol.anchored)
             )
             assert sol.schedule.makespan <= inst.deadline + 1e-6
+            _assert_decoded(inst, ld, sol)
         assert all(v == pytest.approx(want) for v in values.values()), values
 
 
@@ -193,9 +203,32 @@ def test_solve_dom_cuts_random_cross_validation():
             weights=np.ones(n),
             meta={},
         )
-        res_direct, _ = asd.solve_formulation(inst, "dom")
-        res_cuts, _, _ = asd.solve_dom_cuts(inst)
+        res_direct, sol_direct = asd.solve_formulation(inst, "dom")
+        res_cuts, sol_cuts, _ = asd.solve_dom_cuts(inst)
         assert res_cuts.value == pytest.approx(res_direct.value, abs=1e-6)
+        ld = asd.worst_case_longest_paths(g, inst.delta)
+        for sol in (sol_direct, sol_cuts):
+            _assert_decoded(inst, ld, sol)
+
+
+def test_greedy_heuristic_proposes_maximal_anchored_sets():
+    rng = np.random.default_rng(43)
+    kinds = ("box", "budget", "one", "partition", "mixed", "scenarios")
+    for trial in range(24):
+        inst = random_instance(
+            rng, int(rng.integers(2, 11)), kinds[trial % 6], weighted=True
+        )
+        g, M = inst.graph, inst.deadline
+        for which in ("std", "dom"):
+            model, ld = _build(inst, which)
+            heur = _greedy_anchored_heuristic(inst, ld, which)
+            cand = heur({f"h_{j}": float(rng.random()) for j in g.jobs})
+            assert cand is not None
+            assert model.max_violation(cand) <= 5e-6, (trial, which)
+            H = [j for j in g.jobs if cand[f"h_{j}"] == 1.0]
+            assert asd.is_anchored_set(g, ld, H, M)
+            for j in set(g.jobs) - set(H):
+                assert not asd.is_anchored_set(g, ld, H + [j], M), (trial, which, j)
 
 
 def test_chvatal_with_cuts(fig_budget):
