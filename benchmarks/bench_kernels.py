@@ -9,7 +9,9 @@ Workloads cover every accelerated kernel family through public entry points:
 * budgeted worst case — the sweep over (node, used budget) states,
 * partitioned worst case — the sweep over mixed-radix budget vectors,
 * relaxation bound — the bounded dual simplex (and the two sweeps of L0, LD),
-* exhaustive optimum — the subset makespan scan.
+* exhaustive optimum — the subset makespan scan,
+* branch and bound — the ``dom`` MIP, node LPs warm-started by the dual
+  simplex (nodes and pivots are printed under the table).
 
 Run ``PYTHONPATH=src python3 benchmarks/bench_kernels.py`` from the
 repository root.
@@ -30,6 +32,7 @@ WORKLOADS = (
     ("partition worst case n=240", "partition"),
     ("relaxation bound n=40", "lp"),
     ("exhaustive optimum n=17", "brute"),
+    ("branch and bound n=40", "bnb"),
 )
 
 
@@ -52,16 +55,21 @@ def _build(tag: str):
     if tag == "brute":
         inst = asd.make_instance("ER_pRand_dRand_G2", 17, 0)
         return lambda: asd.brute_force_optimum(inst)
+    if tag == "bnb":
+        inst = asd.make_instance("ER_pZero_dRand_G1", 40, 0)
+        return lambda: asd.solve_formulation(inst, "dom")[0]
     raise ValueError(tag)
 
 
 def run_worker(repeat: int) -> dict:
     import anchorsched as asd
 
-    out = {"backend": asd.BACKEND, "times": {}}
+    out = {"backend": asd.BACKEND, "times": {}, "counts": {}}
     for label, tag in WORKLOADS:
         fn = _build(tag)
-        fn()  # warm pass: JIT compilation and caches stay out of the timing
+        res = fn()  # warm pass: JIT compilation and caches stay out of the timing
+        if tag == "bnb":
+            out["counts"][label] = f"{res.nodes} nodes, {res.iterations} pivots"
         best = float("inf")
         for _ in range(repeat):
             t0 = time.perf_counter()
@@ -118,6 +126,9 @@ def main(argv=None) -> int:
             ratio = results["numpy"]["times"][label] / results["numba"]["times"][label]
             row += f"  {ratio:>7.1f}x"
         print(row)
+    for b in cols:
+        for label, note in results[b]["counts"].items():
+            print(f"[{b}] {label}: {note}")
     return 0
 
 

@@ -11,8 +11,8 @@ loop build as plain Python against its twin.  The kernels:
   through it: nominal and box (one state), budgeted ((node, used budget)
   states) and partitioned (mixed-radix budget vectors).
 * ``dual_phase`` — the bounded dual simplex on a dense tableau: bounds stay
-  on the variables, and the all-logical start basis is dual feasible, so one
-  phase solves the LP.
+  on the variables, and the start basis (all logicals, or a parent node's)
+  is dual feasible, so one phase solves the LP.
 * ``mask_makespans`` — makespans of the earliest baselines of anchored
   subsets given as bitmasks, for the exhaustive optimum.  Every comparable
   tail feeds an anchored head, anchored or not (the dominance rule).

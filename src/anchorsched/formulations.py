@@ -37,7 +37,6 @@ from .anchored import (
     AnchoredSolution,
     Instance,
     dominant_schedule,
-    is_anchored_set,
 )
 from .errors import (
     DeadlineInfeasible,
@@ -46,6 +45,7 @@ from .errors import (
     UnsupportedUncertainty,
 )
 from .graph import (
+    EPS,
     S,
     LongestPathMatrix,
     all_pairs_longest,
@@ -503,28 +503,51 @@ def _greedy_anchored_heuristic(inst: Instance, ld, which: str):
     each one is kept if the enlarged set still fits the deadline.  The
     dominant baseline of the final set satisfies every model row, so the
     branch-and-bound always holds a primal solution to prune against.
+
+    The test is ``is_anchored_set``'s, kept incremental: z holds the
+    dominant starts of s and the chosen jobs (-inf elsewhere).  A candidate
+    j starts at max(0, max_u z_u + LD(u, j)); only the chosen descendants of
+    j can move, since LD is -inf off reachability, and they are recomputed
+    in topological order.  Each start is a max over the same sums, so the
+    set is exactly the one a from-scratch test would pick.
     """
     g = inst.graph
-    deadline = float(inst.deadline)
+    lim = float(inst.deadline) + EPS
     prefix = "z" if which == "dom" else "x"
+    lags, reach = ld.values, ld.reach
+    to_sink = g.to_sink()
+    topo = np.array(g._topo)
 
     def heur(xlp: dict[str, float]) -> dict[str, float] | None:
         order = sorted(
             g.jobs,
             key=lambda j: (-xlp.get(f"h_{j}", 0.0), -inst.weights[j - 1], j),
         )
-        chosen: list[int] = []
+        if to_sink[S] > lim:  # s fails the test, so every set does
+            order = []
+        z = np.full(g.n + 2, -np.inf)
+        z[S] = 0.0
+        chosen = np.zeros(g.n + 2, dtype=bool)
         for j in order:
-            if is_anchored_set(g, ld, chosen + [j], deadline):
-                chosen.append(j)
+            zj = max(0.0, (z + lags[:, j]).max())
+            if zj + to_sink[j] > lim:
+                continue
+            trial = z.copy()
+            trial[j] = zj
+            for d in topo[chosen[topo] & reach[j, topo]]:
+                trial[d] = max(0.0, (trial + lags[:, d]).max())
+                if trial[d] + to_sink[d] > lim:
+                    break
+            else:
+                z = trial
+                chosen[j] = True
         try:
-            z = dominant_schedule(g, ld, chosen, deadline)
+            start = dominant_schedule(g, ld, np.flatnonzero(chosen), inst.deadline).start
         except InfeasibleAnchoredSet:
             return None
-        picked = set(chosen)
-        cand = {f"h_{j}": float(j in picked) for j in g.jobs}
+        cand = {f"h_{j}": float(chosen[j]) for j in g.jobs}
         for v in range(g.n + 2):
-            cand[f"{prefix}_{_node_label(g, v)}"] = float(z.start[v])
+            cand[f"{prefix}_{_node_label(g, v)}"] = float(start[v])
         return cand
 
     return heur

@@ -15,6 +15,16 @@ on binary variables with most-fractional branching, an LP-rounding initial
 incumbent, and an optional cut callback that may reject integral candidates
 by adding globally valid rows.
 
+Only the root LP starts cold.  Every other LP starts from the final basis
+and at-upper flags of an earlier one: a node from its parent's (both
+children share the pair), the LP-rounding incumbent from the root's, and a
+re-solve after lazy cuts from the node's own, with each new row's logical
+joining the basis.  A branch fixes a binary that was basic, and a new
+logical has zero cost, so the basis stays dual feasible and the same dual
+phase re-optimizes it, usually in a few pivots (Achterberg, *Constraint
+Integer Programming*, 2007).  The tableau of that basis is rebuilt from one
+k x k block inverse over its k basic structurals, not from an m x m solve.
+
 Models can be written to and re-read from the textual LP format (sections
 Maximize/Subject To/Bounds/Binary/End).
 """
@@ -235,15 +245,71 @@ class MipModel:
 # ---------------------------------------------------------------------------
 
 
-def _simplex(model: MipModel, fixes: dict[int, float] | None):
+def _tableau(A, cost, lo, hi, basis, upper):
+    """Tableau and values of [x, s] at a basis, or None when it cannot start.
+
+    K is the basic structurals (k of them), L the rows whose logical is
+    basic and R the other k rows; every nonbasic column sits at the bound
+    its ``upper`` flag names.  With W = A_RK^-1 on the rows of K and
+    A_LK A_RK^-1 on the rows of L, the tableau rows are W [A_R | -I_R], less
+    [A_L | -I_L] on the rows of L; x_K = A_RK^-1 (s_R - A_RN x_N),
+    s_L = A_L x and d = c - c_K T_K.  So one k x k inverse and one
+    (m x k)(k x n) product build it, and the unit columns of the basis are
+    filled exactly.  None when A_RK is singular or a nonbasic reduced cost
+    has the wrong sign for its bound by more than FEAS_TOL.
+    """
+    m, n = A.shape
+    pos_k = np.flatnonzero(basis < n)
+    pos_l = np.flatnonzero(basis >= n)
+    K = basis[pos_k]
+    L = basis[pos_l] - n
+    in_r = np.ones(m, dtype=bool)
+    in_r[L] = False
+    R = np.flatnonzero(in_r)
+    A_R, A_L = A[R], A[L]
+    try:
+        inv = np.linalg.inv(A_R[:, K])
+    except np.linalg.LinAlgError:
+        return None
+    W = np.empty((m, len(K)))
+    W[pos_k] = inv
+    W[pos_l] = A_L[:, K] @ inv
+    body = W @ A_R
+    body[pos_l] -= A_L
+    y = cost[K] @ inv
+    T = np.zeros((m + 1, n + m), order="F")
+    T[:m, :n] = body
+    T[:m, n + R] = -W
+    T[m, :n] = cost - y @ A_R
+    T[m, n + R] = y
+    T[:, K] = 0.0
+    T[np.arange(m), basis] = 1.0
+    d = T[m]
+    free = lo < hi
+    free[basis] = False
+    if np.any(free & np.where(upper, d > FEAS_TOL, d < -FEAS_TOL)):
+        return None
+    z = np.where(upper, hi, lo)
+    x = z[:n]
+    x[K] = 0.0
+    x[K] = inv @ (z[n + R] - A_R @ x)
+    z[n + L] = A_L @ x
+    return T, z
+
+
+def _simplex(model: MipModel, fixes: dict[int, float] | None, start=None):
     """Solve the LP relaxation (integrality ignored) with bound overrides.
 
     Standard form ``A x - s = 0``: structurals keep their bounds (a fix sets
     lb = ub), and the logical s of each row is bounded by its sense.  The
-    start basis is all logicals with every structural at the bound its cost
-    prefers, which is dual feasible, so one dual simplex phase solves it.
-    Returns (status, x_full, iterations) where status is "Optimal" or
-    "Infeasible"; x_full is a full variable-value vector for Optimal.  Raises
+    cold start is all logicals basic with every structural at the bound its
+    cost prefers, which is dual feasible.  ``start`` is the (basis, at-upper
+    flags) pair an earlier Optimal solve of this model returned; rows added
+    since then join its basis with their logical.  Its tableau comes from
+    ``_tableau``, and the solve starts cold when that returns None.
+    Returns (status, x_full, iterations, final) where status is "Optimal"
+    or "Infeasible", x_full is a full variable-value vector and final the
+    pair to warm-start from (both None unless Optimal).  Raises
     NumericalFailure when the pivot limit is exhausted.
     """
     A, lo, hi, c = model._standard_form()
@@ -252,36 +318,41 @@ def _simplex(model: MipModel, fixes: dict[int, float] | None):
     if fixes:
         for idx, val in fixes.items():
             if val < lo[idx] - FEAS_TOL or val > hi[idx] + FEAS_TOL:
-                return "Infeasible", None, 0
+                return "Infeasible", None, 0, None
             lo[idx] = hi[idx] = val
     cost = -c if model.maximize else c
-    T = np.zeros((m + 1, n + m), order="F")
-    T[:m, :n] = -A
-    T[:m, n:] = np.eye(m)
-    T[m, :n] = cost
-    z = np.empty(n + m)
-    z[:n] = np.where(cost >= 0, lo[:n], hi[:n])
-    z[n:] = A @ z[:n]
-    basis = np.arange(n, n + m)
+    built = None
+    if start is not None:
+        basis, upper = start
+        new = np.arange(n + len(basis), n + m)
+        basis = np.concatenate([basis, new])
+        upper = np.concatenate([upper, np.zeros(len(new), dtype=bool)])
+        built = _tableau(A, cost, lo, hi, basis, upper)
+    if built is None:
+        basis = np.arange(n, n + m)
+        upper = np.concatenate([cost < 0, np.zeros(m, dtype=bool)])
+        built = _tableau(A, cost, lo, hi, basis, upper)
+    T, z = built
     status, iterations = _kernels.dual_phase(
         T, basis, z, lo, hi, BLAND_AFTER, MAX_PIVOTS, FEAS_TOL, PIVOT_TOL
     )
     if status == 2:
         raise NumericalFailure(f"pivot limit {MAX_PIVOTS} hit")
     if status == 1:
-        return "Infeasible", None, iterations
-    return "Optimal", np.clip(z[:n], lo[:n], hi[:n]), iterations
+        return "Infeasible", None, iterations, None
+    return "Optimal", np.clip(z[:n], lo[:n], hi[:n]), iterations, (basis, z == hi)
 
 
-def _lp(model: MipModel, fixes=None) -> SolveResult:
+def _lp(model: MipModel, fixes=None, start=None):
+    """One LP solve as (SolveResult, final warm-start pair or None)."""
     t0 = time.perf_counter()
-    status, x_full, iters = _simplex(model, fixes)
+    status, x_full, iters, final = _simplex(model, fixes, start)
     rt = time.perf_counter() - t0
     if status != "Optimal":
-        return SolveResult(status, None, np.nan, np.nan, np.nan, 0, rt, iters)
+        return SolveResult(status, None, np.nan, np.nan, np.nan, 0, rt, iters), None
     x = {v.name: float(x_full[i]) for i, v in enumerate(model.variables)}
     val = model.objective_value(x)
-    return SolveResult("Optimal", x, val, val, 0.0, 0, rt, iters)
+    return SolveResult("Optimal", x, val, val, 0.0, 0, rt, iters), final
 
 
 def solve_lp(model: MipModel) -> SolveResult:
@@ -290,7 +361,7 @@ def solve_lp(model: MipModel) -> SolveResult:
     Binary flags are ignored; bounds are honored.  The reported point is a
     vertex of the feasible region (basic solution of the simplex).
     """
-    return _lp(model)
+    return _lp(model)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +428,7 @@ def solve_mip(
     def elapsed():
         return time.perf_counter() - t0
 
-    root = _lp(model)
+    root, root_start = _lp(model)
     iterations += root.iterations
     nodes += 1
     if root.status == "Infeasible":
@@ -411,22 +482,22 @@ def solve_mip(
             i: (1.0 if root.x[model.variables[i].name] >= 0.5 else 0.0)
             for i in binaries
         }
-        heur = _lp(model, fixes)
+        heur, _ = _lp(model, fixes, root_start)
         iterations += heur.iterations
         if heur.status == "Optimal" and not vet_cuts(heur.x):
             try_incumbent(heur.x, heur.value)
 
     seq = 0
-    heap: list[tuple[float, int, dict[int, float]]] = []
+    heap: list[tuple[float, int, dict[int, float], tuple]] = []
     sense = -1.0 if model.maximize else 1.0
     combine = max if model.maximize else min
 
-    def push(bound: float, fixes: dict[int, float]):
+    def push(bound: float, fixes: dict[int, float], start: tuple):
         nonlocal seq
-        heapq.heappush(heap, (sense * bound, seq, fixes))
+        heapq.heappush(heap, (sense * bound, seq, fixes, start))
         seq += 1
 
-    push(cap(root.value), {})
+    push(cap(root.value), {}, root_start)
 
     status = "Optimal"
     bound_final: float | None = None
@@ -434,13 +505,13 @@ def solve_mip(
         if elapsed() > params.time_limit:
             status = "TimeLimit"
             break
-        neg_bound, _, fixes = heapq.heappop(heap)
+        neg_bound, _, fixes, start = heapq.heappop(heap)
         node_bound = sense * neg_bound
         if inc_x is not None and _gap(node_bound, inc_val) <= GAP_TOL:
             # every open node is bounded by this one (best-bound order)
             bound_final = combine(node_bound, inc_val)
             break
-        res = _lp(model, fixes)
+        res, start = _lp(model, fixes, start)
         iterations += res.iterations
         nodes += 1
         if res.status != "Optimal":
@@ -455,7 +526,7 @@ def solve_mip(
                 try_incumbent(x, val)
                 x = None
                 break
-            res = _lp(model, fixes)
+            res, start = _lp(model, fixes, start)
             iterations += res.iterations
             if res.status != "Optimal":
                 x = None
@@ -486,7 +557,7 @@ def solve_mip(
         for v in (0.0, 1.0):
             child = dict(fixes)
             child[cand] = v
-            push(cap(val), child)
+            push(cap(val), child, start)
 
     if inc_x is None:
         final_status = "TimeLimit" if status == "TimeLimit" else "Infeasible"

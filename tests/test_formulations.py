@@ -231,6 +231,48 @@ def test_greedy_heuristic_proposes_maximal_anchored_sets():
                 assert not asd.is_anchored_set(g, ld, H + [j], M), (trial, which, j)
 
 
+def test_greedy_heuristic_matches_from_scratch_rule():
+    # the incremental test picks the set and starts of one full
+    # is_anchored_set test per job
+    rng = np.random.default_rng(47)
+    kinds = ("box", "budget", "one", "partition", "mixed", "scenarios")
+    labels = {0: "s"}
+    for trial in range(48):
+        inst = random_instance(
+            rng, int(rng.integers(2, 13)), kinds[trial % 6], weighted=True
+        )
+        g = inst.graph
+        if trial % 16 == 15:  # not even the empty set fits
+            nominal = asd.single_source_longest(g, 0, g.p)[g.t]
+            inst = asd.Instance(g, inst.delta, nominal - 1.0, inst.weights)
+        M = inst.deadline
+        ld = asd.worst_case_longest_paths(g, inst.delta)
+        for which in ("std", "dom"):
+            xlp = {
+                f"h_{j}": float(rng.choice([0.0, 0.5, 1.0, rng.random()]))
+                for j in g.jobs
+            }
+            got = _greedy_anchored_heuristic(inst, ld, which)(xlp)
+            order = sorted(
+                g.jobs, key=lambda j: (-xlp[f"h_{j}"], -inst.weights[j - 1], j)
+            )
+            chosen = []
+            for j in order:
+                if asd.is_anchored_set(g, ld, chosen + [j], M):
+                    chosen.append(j)
+            try:
+                start = asd.dominant_schedule(g, ld, chosen, M).start
+            except asd.InfeasibleAnchoredSet:
+                assert got is None, (trial, which)
+                continue
+            prefix = "z" if which == "dom" else "x"
+            want = {f"h_{j}": float(j in chosen) for j in g.jobs}
+            for v in range(g.n + 2):
+                label = labels.get(v, "t" if v == g.t else str(v))
+                want[f"{prefix}_{label}"] = float(start[v])
+            assert got == want, (trial, which)
+
+
 def test_chvatal_with_cuts(fig_budget):
     res, sol, stats = asd.solve_dom_cuts(fig_budget, chvatal=True)
     assert res.status == "Optimal" and res.value == pytest.approx(4.0)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import anchorsched as asd
-from anchorsched.milp import MipModel, SolveParams, _lp
+from anchorsched.milp import MipModel, SolveParams, _lp, _simplex, _tableau
 
 from .conftest import five_job_graph
 
@@ -109,7 +109,7 @@ def test_solve_lp_matches_scipy():
                 for k in range(nbin)
                 if rng.random() < 0.7
             }
-        res = _lp(m, fixes) if fixes else asd.solve_lp(m)
+        res = _lp(m, fixes)[0] if fixes else asd.solve_lp(m)
         ref = _scipy_lp(scipy_opt, m, fixes)
         assert ref.status in (0, 2), trial  # boxed: optimal or infeasible
         if ref.status == 0:
@@ -123,6 +123,91 @@ def test_solve_lp_matches_scipy():
             assert res.status == "Infeasible", trial
         statuses.add((res.status, bool(fixes)))
     assert len(statuses) == 4  # optimal and infeasible, with and without fixes
+
+
+def _assert_child(scipy_opt, m, fixes, start, trial):
+    """A warm solve from ``start`` agrees with the cold solve and HiGHS."""
+    warm = _lp(m, fixes, start)[0]
+    cold = _lp(m, fixes)[0]
+    ref = _scipy_lp(scipy_opt, m, fixes)
+    assert ref.status in (0, 2), trial
+    want = "Optimal" if ref.status == 0 else "Infeasible"
+    assert warm.status == cold.status == want, trial
+    if want == "Optimal":
+        sign = -1.0 if m.maximize else 1.0
+        assert warm.value == pytest.approx(sign * ref.fun, abs=1e-6), trial
+        assert warm.value == pytest.approx(cold.value, abs=1e-6), trial
+        assert m.max_violation(warm.x) <= 1e-6, trial
+    return warm
+
+
+def test_warm_start_matches_cold_start():
+    scipy_opt = pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(31)
+    warm_pivots = cold_pivots = 0
+    for trial in range(150):
+        nbin = int(rng.integers(1, 5))
+        m = _random_lp(rng, int(rng.integers(1, 6)), int(rng.integers(1, 7)), nbin)
+        parent, start = _lp(m)
+        if parent.status != "Optimal":
+            continue
+        # branch-and-bound children: binaries fixed on top of the parent
+        for _ in range(3):
+            fixes = {
+                m.var_index(f"b{k}"): float(rng.integers(0, 2))
+                for k in range(nbin)
+                if rng.random() < 0.6
+            }
+            child = _assert_child(scipy_opt, m, fixes, start, trial)
+            warm_pivots += child.iterations
+            cold_pivots += _lp(m, fixes)[0].iterations
+        # a lazy cut: one new row, cutting near the parent's point; its
+        # logical joins the parent's basis
+        coefs = {
+            v.name: float(c)
+            for v, c in zip(m.variables, rng.integers(-3, 4, m.n_vars))
+            if c
+        }
+        if not coefs:
+            continue
+        sense = str(rng.choice(["<=", ">="]))
+        lhs = sum(c * parent.x[name] for name, c in coefs.items())
+        shift = float(rng.integers(0, 3))
+        m.add_row(coefs, sense, lhs - shift if sense == "<=" else lhs + shift)
+        _assert_child(scipy_opt, m, {}, start, trial)
+    assert warm_pivots < cold_pivots
+
+
+def test_warm_start_falls_back_to_cold():
+    # max x + y + w on [0, 4]^3 with x + y <= 6: one pivot from the cold start
+    m = MipModel()
+    m.add_var("x", 0.0, 4.0)
+    m.add_var("y", 0.0, 4.0)
+    m.add_var("w", 0.0, 4.0)  # in no row
+    m.add_row({"x": 1.0, "y": 1.0}, "<=", 6.0)
+    m.set_objective({"x": 1.0, "y": 1.0, "w": 1.0}, maximize=True)
+    cold = _simplex(m, None)
+    assert cold[0] == "Optimal" and cold[2] == 1
+    A, lo, hi, c = m._standard_form()
+    basis, upper = cold[3]
+    flipped = upper.copy()
+    flipped[2] = False  # w moved to the bound its cost rejects
+    singular = (np.array([2]), upper)  # w basic for the row: A_RK = [[0]]
+    for pair in ((basis, flipped), singular):
+        assert _tableau(A, -c, lo, hi, *pair) is None
+        warm = _simplex(m, None, pair)
+        assert (warm[0], warm[2]) == (cold[0], cold[2])  # status, pivots
+        assert np.array_equal(warm[1], cold[1])
+    assert _simplex(m, None, cold[3])[2] == 0  # the optimal pair needs no pivot
+
+
+def test_branch_and_bound_warm_starts_its_nodes():
+    # each node LP starts from its parent's basis: cold starts took 3 094
+    # pivots over 66 nodes here
+    inst = asd.make_instance("ER_pRand_dRand_G2", 20, 0)
+    res, _ = asd.solve_formulation(inst, "dom")
+    assert res.status == "Optimal" and res.value == pytest.approx(12.0)
+    assert res.iterations < 1000
 
 
 def test_lp_statuses():
@@ -156,7 +241,7 @@ def _enumerate_binary_opt(model):
     best = None
     for bits in itertools.product((0.0, 1.0), repeat=len(names)):
         fixes = {model.var_index(n): b for n, b in zip(names, bits)}
-        r = _lp(model, fixes)
+        r = _lp(model, fixes)[0]
         if r.status != "Optimal":
             continue
         if best is None or r.value > best + 1e-12:
