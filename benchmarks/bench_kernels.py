@@ -7,7 +7,9 @@ Workloads cover every accelerated kernel family through public entry points:
 
 * box worst case — the all-sources sweep with one state,
 * budgeted worst case — the sweep over (node, used budget) states,
-* partitioned worst case — the sweep over mixed-radix budget vectors,
+* partitioned worst case — the sweep over mixed-radix budget vectors (for
+  both, the budget states left after the height caps are printed under the
+  table),
 * relaxation bound — the bounded dual simplex (and the two sweeps of L0, LD),
 * exhaustive optimum — the subset makespan scan,
 * branch and bound — the ``dom`` MIP, node LPs warm-started by the dual
@@ -36,28 +38,39 @@ WORKLOADS = (
 )
 
 
+def _worst_case(label: str):
+    """The worst-case sweep of a budgeted n=240 instance, and its budget states."""
+    import anchorsched as asd
+    from anchorsched.uncertainty import _state_layout
+
+    inst = asd.make_instance(label, 240, 0)
+    d = inst.delta
+    parts = getattr(d, "parts", None)
+    layout = _state_layout(inst.graph, d.dhat, d.gammas if parts else [d.gamma], parts)
+    return lambda: asd.worst_case_longest_paths(inst.graph, d), f"{layout[3]} budget states"
+
+
 def _build(tag: str):
+    """The timed call of a workload, and a note printed under the table."""
     import anchorsched as asd
 
     if tag == "box":
         inst = asd.make_instance("ER_pRand_dRand_G2", 240, 0)
         delta = asd.Box(inst.delta.dhat)
-        return lambda: asd.worst_case_longest_paths(inst.graph, delta)
+        return lambda: asd.worst_case_longest_paths(inst.graph, delta), None
     if tag == "budgeted":
-        inst = asd.make_instance("ER_pRand_dRand_G2", 240, 0)
-        return lambda: asd.worst_case_longest_paths(inst.graph, inst.delta)
+        return _worst_case("ER_pRand_dRand_G2")
     if tag == "partition":
-        inst = asd.make_instance("ER_pRand_dRand_Partition", 240, 0)
-        return lambda: asd.worst_case_longest_paths(inst.graph, inst.delta)
+        return _worst_case("ER_pRand_dRand_Partition")
     if tag == "lp":
         inst = asd.make_instance("ER_pQCri_dUnif_G1", 40, 0)
-        return lambda: asd.lp_bound(inst, "dom")
+        return lambda: asd.lp_bound(inst, "dom"), None
     if tag == "brute":
         inst = asd.make_instance("ER_pRand_dRand_G2", 17, 0)
-        return lambda: asd.brute_force_optimum(inst)
+        return lambda: asd.brute_force_optimum(inst), None
     if tag == "bnb":
         inst = asd.make_instance("ER_pZero_dRand_G1", 40, 0)
-        return lambda: asd.solve_formulation(inst, "dom")[0]
+        return lambda: asd.solve_formulation(inst, "dom")[0], None
     raise ValueError(tag)
 
 
@@ -66,10 +79,12 @@ def run_worker(repeat: int) -> dict:
 
     out = {"backend": asd.BACKEND, "times": {}, "counts": {}}
     for label, tag in WORKLOADS:
-        fn = _build(tag)
+        fn, note = _build(tag)
         res = fn()  # warm pass: JIT compilation and caches stay out of the timing
         if tag == "bnb":
-            out["counts"][label] = f"{res.nodes} nodes, {res.iterations} pivots"
+            note = f"{res.nodes} nodes, {res.iterations} pivots"
+        if note:
+            out["counts"][label] = note
         best = float("inf")
         for _ in range(repeat):
             t0 = time.perf_counter()

@@ -38,10 +38,11 @@ _max = np.maximum
 # state st.  States are mixed-radix budget vectors: group_of[u] is the budget
 # group of tail u (-1: arcs out of u never deviate), digit g of state st is
 # (st // stride[g]) % radix[g], the budget of group g spent so far, and
-# radix[g] = gamma_g + 1.  An arc (u, v) keeps the state at its nominal weight,
-# or, when u has a group whose digit is below its cap, raises that digit by
-# one at its deviated weight.  With no groups (empty stride) there is one
-# state, and the sweep is a plain longest-path pass from every source.
+# radix[g] is one more than the group's budget (``uncertainty`` caps it at
+# the group's path height).  An arc (u, v) keeps the state at its nominal
+# weight, or, when u has a group whose digit is below its cap, raises that
+# digit by one at its deviated weight.  With no groups (empty stride) there
+# is one state, and the sweep is a plain longest-path pass from every source.
 
 
 def _sweep_loop(

@@ -53,7 +53,13 @@ from .graph import (
     topological_order,
 )
 from .milp import MipModel, SolveParams, SolveResult, solve_lp, solve_mip
-from .uncertainty import Budgeted, _dev_full, normalize, worst_case_longest_paths
+from .uncertainty import (
+    Budgeted,
+    _dev_full,
+    budget_height,
+    normalize,
+    worst_case_longest_paths,
+)
 
 #: violation tolerance for chain separation
 SEP_TOL = 1e-6
@@ -196,16 +202,6 @@ def build_dom(
         model.add_row(coefs, ">=", base, name=f"pair_{li}_{lj}")
     _objective(model, inst)
     return model
-
-
-def budget_height(g, dhat) -> int:
-    """Largest number of jobs with dhat_j > 0 on any s-t path.
-
-    One longest-path sweep with 0/1 node weights.  No path can deviate more
-    jobs than it holds, so a budget above this height buys nothing.
-    """
-    risky = (np.asarray(dhat, dtype=float) > 0.0).astype(float)
-    return int(round(single_source_longest(g, S, risky)[g.t]))
 
 
 def _deviated_paths(g, dhat):

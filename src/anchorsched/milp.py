@@ -429,6 +429,7 @@ def solve_mip(
         return time.perf_counter() - t0
 
     root, root_start = _lp(model)
+    root_rows = len(model.rows)
     iterations += root.iterations
     nodes += 1
     if root.status == "Infeasible":
@@ -511,9 +512,12 @@ def solve_mip(
             # every open node is bounded by this one (best-bound order)
             bound_final = combine(node_bound, inc_val)
             break
-        res, start = _lp(model, fixes, start)
-        iterations += res.iterations
-        nodes += 1
+        if not fixes and len(model.rows) == root_rows:
+            res = root  # the root LP, solved above and unchanged since
+        else:  # a child, or the root again after its heuristics added cuts
+            res, start = _lp(model, fixes, start)
+            iterations += res.iterations
+            nodes += bool(fixes)
         if res.status != "Optimal":
             continue
         x, val = res.x, res.value

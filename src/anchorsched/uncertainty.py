@@ -18,9 +18,17 @@ is what anchoring feasibility depends on.  Supported set types:
 Worst cases come from one DAG sweep over every source at once
 (``graph.sweep_matrix``), which differs by set type only in its budget states:
 one state on the inflated graph for boxes and scenarios, (node, used budget)
-states for budgeted sets (Γ+1 per source, so linear in Γ·|A| per source), and
-mixed-radix budget vectors for partitions.  Unions and hulls reduce to
-pointwise maxima of member matrices.
+states for budgeted sets, and mixed-radix budget vectors for partitions.
+Unions and hulls reduce to pointwise maxima of member matrices.
+
+Each budget group is capped at its own height H_k, the largest number of its
+jobs with δ̂_j > 0 on one s-t path, so it spends min(Γ_k, H_k) + 1 states
+(``_state_layout``).  The cap is exact: a path cannot spend more budget in a
+group than it holds deviating jobs of that group, and a job with δ̂_j = 0
+never deviates (deviating it would add nothing), so LD does not change.  A
+group capped at 0 drops out; with none left the set is swept as plain
+longest paths.  See Bertsimas & Sim, "The Price of Robustness", Oper. Res.
+52(1), 2004.
 """
 
 from __future__ import annotations
@@ -40,13 +48,15 @@ from .errors import (
 )
 from .graph import (
     EPS,
+    S,
     LongestPathMatrix,
     PrecedenceGraph,
     path_sweep,
+    single_source_longest,
     sweep_matrix,
 )
 
-#: state-space guard for the partition DP
+#: guard on the budget states of one sweep (after the height caps)
 MAX_PARTITION_STATES = 10**6
 
 #: guards for extreme-point enumeration
@@ -252,22 +262,44 @@ def _dev_full(g: PrecedenceGraph, dhat: Sequence[float]) -> np.ndarray:
     return dv
 
 
-def _state_layout(g: PrecedenceGraph, gammas, parts=None):
+def budget_height(g: PrecedenceGraph, dhat: Sequence[float]) -> int:
+    """Largest number of jobs with dhat_j > 0 on any s-t path.
+
+    One longest-path sweep with 0/1 node weights.  No path can deviate more
+    jobs than it holds, so a budget above this height buys nothing.
+    """
+    risky = (np.asarray(dhat, dtype=float) > 0.0).astype(float)
+    return int(round(single_source_longest(g, S, risky)[g.t]))
+
+
+def _state_layout(g: PrecedenceGraph, dhat, gammas, parts=None):
     """``(group_of, stride, radix, n_states)`` of the budget states of a set.
 
-    Digit k of a state is the budget part k has spent (see ``_kernels``).
-    Without parts this is a budgeted set: one group of every node, which
-    keeps the (node, used budget) recurrence, as s and t never deviate.
+    Digit k of a state is the budget group k has spent (see ``_kernels``).
+    Without parts this is a budgeted set: one group of every job.  Only jobs
+    with dhat_j > 0 join a group; the others keep ``group_of = -1``, so their
+    arcs never deviate.  Group k gets radix min(Γ_k, H_k) + 1, where H_k is
+    the ``budget_height`` of its deviating jobs, and a group capped at 0
+    gets no digit at all.  Raises EnumerationTooLarge when the capped states
+    exceed ``MAX_PARTITION_STATES``.
     """
-    radix = [int(gk) + 1 for gk in gammas]
+    risky = np.asarray(dhat, dtype=float) > 0.0
+    group_of = np.full(g.n + 2, -1, dtype=np.int64)
+    radix = []
+    for part, gk in zip(parts or (g.jobs,), gammas):
+        mask = np.zeros(g.n, dtype=bool)
+        mask[np.asarray(part, dtype=np.int64) - 1] = True
+        mask &= risky
+        cap = min(int(gk), budget_height(g, mask))
+        if cap > 0:
+            group_of[1:-1][mask] = len(radix)
+            radix.append(cap + 1)
     n_states = math.prod(radix)
     if n_states > MAX_PARTITION_STATES:
         raise EnumerationTooLarge(
-            f"partition DP needs {n_states} budget states (limit {MAX_PARTITION_STATES})"
+            f"budget DP needs {n_states} budget states after the height caps "
+            f"(limit {MAX_PARTITION_STATES})"
         )
-    group_of = np.full(g.n + 2, -1 if parts else 0, dtype=np.int64)
-    for k, part in enumerate(parts or ()):
-        group_of[list(part)] = k
     stride = [math.prod(radix[:k]) for k in range(len(radix))]
     return group_of, np.array(stride, dtype=np.int64), np.array(radix, dtype=np.int64), n_states
 
@@ -277,23 +309,26 @@ def budgeted_dp(
 ) -> np.ndarray:
     """DP table val[v, γ] = longest source->v path deviating exactly γ tails.
 
-    val[source, 0] = 0, unreachable states are -inf.  The worst-case value
-    LD(source, v) is the running maximum over γ (monotone by construction);
-    raw states need not be monotone since a short path can run out of tails.
+    val[source, 0] = 0, unreachable states are -inf.  The table has
+    min(Γ, H) + 1 columns, H the ``budget_height``: no path deviates more
+    tails than that.  The worst-case value LD(source, v) is the running
+    maximum over γ (monotone by construction); raw states need not be
+    monotone since a short path can run out of tails.
     """
     if not 1 <= int(gamma) <= max(g.n, 1):
         raise BudgetOutOfRange(f"gamma must be in 1..{g.n}, got {gamma}")
     w_dev = g.p + _dev_full(g, dhat)
-    layout = _state_layout(g, [int(gamma)])
+    layout = _state_layout(g, dhat, [int(gamma)])
     return path_sweep(g, [int(source)], g.p, w_dev, layout)[:, 0, :]
 
 
 def _budgeted_matrix(g: PrecedenceGraph, dhat, gamma: int) -> np.ndarray:
-    return sweep_matrix(g, g.p, g.p + _dev_full(g, dhat), _state_layout(g, [gamma]))
+    layout = _state_layout(g, dhat, [gamma])
+    return sweep_matrix(g, g.p, g.p + _dev_full(g, dhat), layout)
 
 
 def _partition_matrix(g: PrecedenceGraph, delta: PartitionBudgeted) -> np.ndarray:
-    layout = _state_layout(g, delta.gammas, delta.parts)
+    layout = _state_layout(g, delta.dhat, delta.gammas, delta.parts)
     return sweep_matrix(g, g.p, g.p + _dev_full(g, delta.dhat), layout)
 
 

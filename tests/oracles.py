@@ -255,6 +255,18 @@ def is_series_parallel(n, arcs):
     return dict(bag) == {(s, t): 1}
 
 
+def sweep_layout(group_of, radix):
+    """``(group_of, stride, radix, n_states)`` exactly as given, with no caps."""
+    radix = [int(r) for r in radix]
+    stride = [int(np.prod(radix[:k])) for k in range(len(radix))]
+    return (
+        np.asarray(group_of, dtype=np.int64),
+        np.array(stride, dtype=np.int64),
+        np.array(radix, dtype=np.int64),
+        int(np.prod(radix)),
+    )
+
+
 def random_dag(rng, n, density=0.4):
     """Random connected precedence graph for property tests."""
     arcs = set()

@@ -9,9 +9,8 @@ import numpy as np
 import anchorsched as asd
 from anchorsched import _kernels
 from anchorsched.anchored import _mask_arrays
-from anchorsched.uncertainty import _state_layout
 
-from .oracles import random_dag
+from .oracles import random_dag, sweep_layout
 
 
 def _random_boxed_tableau(rng, m, k, degenerate):
@@ -72,17 +71,20 @@ def test_dual_phase_vec_matches_loop():
 
 
 def _random_layout(rng, g, kind):
-    """One state, one group of every node (Γ+1 states), or mixed radix."""
+    """One state, one group of every node (Γ+1 states), or mixed radix.
+
+    Built directly, not through ``uncertainty._state_layout``, whose height
+    caps would keep the radices small on these graphs.
+    """
     m = g.n + 2
     if kind == 0:
         none = np.zeros(0, dtype=np.int64)
         return np.full(m, -1, dtype=np.int64), none, none, 1
     if kind == 1:
-        return _state_layout(g, [int(rng.integers(1, m))])
+        return sweep_layout(np.zeros(m), [int(rng.integers(1, m)) + 1])
     k = int(rng.integers(2, 4))
     group_of = rng.integers(-1, k, m)  # -1: the node never deviates
-    parts = [np.flatnonzero(group_of == gk) for gk in range(k)]
-    return _state_layout(g, rng.integers(1, 4, k), parts)
+    return sweep_layout(group_of, rng.integers(1, 4, k) + 1)
 
 
 def test_sweep_vec_matches_loop():

@@ -210,6 +210,25 @@ def test_branch_and_bound_warm_starts_its_nodes():
     assert res.iterations < 1000
 
 
+def test_root_lp_is_solved_once(monkeypatch):
+    # branch and bound branches from the root LP it solved first: the root
+    # is one LP and one node, and no later LP runs without fixes
+    import anchorsched.milp as milp
+
+    inst = asd.make_instance("SP_pZero_dUnif_G1", 20, 0)
+    unfixed = []
+
+    def counting(model, fixes=None, start=None):
+        unfixed.append(not fixes)
+        return _lp(model, fixes, start)
+
+    monkeypatch.setattr(milp, "_lp", counting)
+    res, _ = asd.solve_formulation(inst, "dom")
+    assert unfixed.count(True) == 1
+    ref = asd.brute_force_optimum(inst)
+    assert res.status == "Optimal" and res.value == pytest.approx(ref.objective)
+
+
 def test_lp_statuses():
     m = MipModel()
     m.add_var("x", 0.0, 10.0)

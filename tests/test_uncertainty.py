@@ -4,11 +4,17 @@ import numpy as np
 import pytest
 
 import anchorsched as asd
-from anchorsched.graph import S
-from anchorsched.uncertainty import budgeted_dp, n_jobs_of, one_disruption_value
+from anchorsched.graph import S, sweep_matrix
+from anchorsched.uncertainty import (
+    _dev_full,
+    budget_height,
+    budgeted_dp,
+    n_jobs_of,
+    one_disruption_value,
+)
 
 from .conftest import FIVE_DHAT, chain3_graph, five_job_graph
-from .oracles import deviation_points, random_dag, worst_case_length
+from .oracles import deviation_points, random_dag, sweep_layout, worst_case_length
 
 
 def test_set_validation():
@@ -108,6 +114,85 @@ def test_worst_case_paths_random_budgeted():
         for i, j in mat.pairs():
             want = worst_case_length(g, delta, i, j)
             assert mat.values[i, j] == pytest.approx(want, abs=1e-9)
+
+
+def _uncapped_ld(g, delta):
+    """LD over the raw layout: every job of a group in it, radix Γ_k + 1."""
+    if isinstance(delta, asd.MixedBudgeted):
+        return np.max([_uncapped_ld(g, comp) for comp in delta.components], axis=0)
+    parts = getattr(delta, "parts", None) or (tuple(g.jobs),)
+    gammas = getattr(delta, "gammas", None) or (delta.gamma,)
+    group_of = np.full(g.n + 2, -1)
+    for k, part in enumerate(parts):
+        group_of[list(part)] = k
+    layout = sweep_layout(group_of, [gk + 1 for gk in gammas])
+    values = sweep_matrix(g, g.p, g.p + _dev_full(g, delta.dhat), layout)
+    values[~g.reachability()] = -np.inf
+    return values
+
+
+def _random_budget_set(rng, g, dhat, kind):
+    """A budgeted, partition or mixed set, with (Γ, height) of each group."""
+    n = g.n
+    if kind == 0:
+        gamma = int(rng.integers(1, min(n, 3) + 1))
+        return asd.Budgeted(tuple(dhat), gamma), [(gamma, budget_height(g, dhat))]
+    if kind == 1:
+        label = rng.integers(0, 3, n)
+        parts = [tuple(int(j) + 1 for j in np.flatnonzero(label == k)) for k in range(3)]
+        parts = [part for part in parts if part]
+        gammas = [int(rng.integers(1, len(part) + 1)) for part in parts]
+        groups = []
+        for part, gk in zip(parts, gammas):
+            own = np.zeros(n)
+            own[np.asarray(part) - 1] = dhat[np.asarray(part) - 1]
+            groups.append((gk, budget_height(g, own)))
+        return asd.PartitionBudgeted(tuple(dhat), tuple(parts), tuple(gammas)), groups
+    comps = [asd.Budgeted(tuple(dhat), int(rng.integers(1, min(n, 3) + 1))),
+             asd.Budgeted(tuple(np.floor(0.5 * dhat)), int(rng.integers(1, min(n, 3) + 1)))]
+    groups = [(c.gamma, budget_height(g, c.dhat)) for c in comps]
+    return asd.MixedBudgeted(tuple(comps)), groups
+
+
+def test_height_caps_keep_ld_bit_identical():
+    # every group sweeps min(Γ_k, H_k) + 1 budget states and jobs with
+    # dhat_j = 0 never deviate; LD equals the raw layout's sweep bit for bit
+    # and the maximum over the set's extreme points
+    rng = np.random.default_rng(29)
+    above = below = 0
+    for trial in range(90):
+        n = int(rng.integers(2, 11))
+        arcs = random_dag(rng, n, density=float(rng.uniform(0.2, 0.8)))
+        g = asd.PrecedenceGraph(n, arcs, rng.integers(0, 5, n).astype(float))
+        dhat = rng.integers(1, 4, n).astype(float)
+        dhat[rng.random(n) < (1.0 if trial < 3 else 0.4)] = 0.0  # all 0: no groups
+        delta, groups = _random_budget_set(rng, g, dhat, trial % 3)
+        above += any(gk > h for gk, h in groups)
+        below += any(gk <= h for gk, h in groups)
+        got = asd.worst_case_longest_paths(g, delta).values
+        assert np.array_equal(got, _uncapped_ld(g, delta)), trial
+        reach = g.reachability()
+        enum = np.max([asd.all_pairs_longest(g, g.p[1:-1] + pt).values
+                       for pt in asd.extreme_points(delta, maximal_only=True)], axis=0)
+        assert np.allclose(got[reach], enum[reach], rtol=0.0, atol=1e-9), trial
+    assert above >= 20 and below >= 20  # both sides of the caps were exercised
+
+
+def test_state_guard_counts_capped_states():
+    # four groups of 32 jobs with Γ_k = 32: 33^4 > 10^6 raw budget states
+    n = 128
+    parts = tuple(tuple(range(32 * k + 1, 32 * k + 33)) for k in range(4))
+    delta = asd.PartitionBudgeted((1.0,) * n, parts, (32,) * 4)
+    # parallel jobs: every path holds one job, so each group caps at 1 (16 states)
+    flat = asd.PrecedenceGraph(
+        n, [(0, j) for j in range(1, n + 1)] + [(j, n + 1) for j in range(1, n + 1)],
+        (2.0,) * n,
+    )
+    assert asd.worst_case_longest_paths(flat, delta).values[S, flat.t] == 3.0
+    # one chain holds all 128 jobs: the caps keep 33^4 states
+    chain = asd.PrecedenceGraph(n, [(j, j + 1) for j in range(n + 1)], (2.0,) * n)
+    with pytest.raises(asd.EnumerationTooLarge):
+        asd.worst_case_longest_paths(chain, delta)
 
 
 def test_extreme_points_cover_box_and_budget():
