@@ -12,8 +12,9 @@ Workloads cover every accelerated kernel family through public entry points:
   table),
 * relaxation bound — the bounded dual simplex (and the two sweeps of L0, LD),
 * exhaustive optimum — the subset makespan scan,
-* branch and bound — the ``dom`` MIP, node LPs warm-started by the dual
-  simplex (nodes and pivots are printed under the table).
+* branch and bound — the ``dom`` and ``lay`` MIPs, node LPs warm-started by
+  the dual simplex, incumbents from the greedy heuristic (nodes and pivots
+  are printed under the table).
 
 Run ``PYTHONPATH=src python3 benchmarks/bench_kernels.py`` from the
 repository root.
@@ -34,7 +35,8 @@ WORKLOADS = (
     ("partition worst case n=240", "partition"),
     ("relaxation bound n=40", "lp"),
     ("exhaustive optimum n=17", "brute"),
-    ("branch and bound n=40", "bnb"),
+    ("branch and bound dom n=40", "bnb"),
+    ("branch and bound lay n=20", "bnb_lay"),
 )
 
 
@@ -71,6 +73,9 @@ def _build(tag: str):
     if tag == "bnb":
         inst = asd.make_instance("ER_pZero_dRand_G1", 40, 0)
         return lambda: asd.solve_formulation(inst, "dom")[0], None
+    if tag == "bnb_lay":
+        inst = asd.make_instance("ER_pRand_dRand_G3", 20, 0)
+        return lambda: asd.solve_formulation(inst, "lay")[0], None
     raise ValueError(tag)
 
 
@@ -81,7 +86,7 @@ def run_worker(repeat: int) -> dict:
     for label, tag in WORKLOADS:
         fn, note = _build(tag)
         res = fn()  # warm pass: JIT compilation and caches stay out of the timing
-        if tag == "bnb":
+        if tag in ("bnb", "bnb_lay"):
             note = f"{res.nodes} nodes, {res.iterations} pivots"
         if note:
             out["counts"][label] = note

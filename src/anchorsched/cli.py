@@ -47,7 +47,6 @@ from .exact import (
 )
 from .formulations import (
     build,
-    lp_bound,
     solve_dom_cuts,
     solve_formulation,
 )
@@ -250,11 +249,6 @@ def bench_task(
     lp_value = float("nan")
     if report.solved and method in ("std", "dom", "lay"):
         lp_value = report.root_value
-        if report.method == "dom_cuts":  # its master is not the dom model
-            try:
-                lp_value = lp_bound(preprocess_deadline(inst), method, chvatal=chvatal)
-            except AnchorSchedError:
-                lp_value = float("nan")
     lp_gap = (lp_value - report.objective) / max(abs(report.objective), 1e-9)
     return BenchRecord(
         path=str(path), label=label, method=method, status=report.status,

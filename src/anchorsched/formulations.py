@@ -40,7 +40,6 @@ from .anchored import (
 )
 from .errors import (
     DeadlineInfeasible,
-    InfeasibleAnchoredSet,
     NumericalFailure,
     UnsupportedUncertainty,
 )
@@ -492,13 +491,15 @@ def _decode(
     )
 
 
-def _greedy_anchored_heuristic(inst: Instance, ld, which: str):
+def _greedy_anchored_heuristic(inst: Instance, ld):
     """LP-guided incumbent finder: grow a feasible anchored set greedily.
 
     Jobs are tried in decreasing LP indicator value (weight breaks ties);
     each one is kept if the enlarged set still fits the deadline.  The
-    dominant baseline of the final set satisfies every model row, so the
-    branch-and-bound always holds a primal solution to prune against.
+    proposal is the indicators h of the final set, None when not even the
+    empty set fits.  Every formulation is exact on the h-space, so the LP
+    with those indicators fixed is feasible, and ``solve_mip`` completes it
+    into an incumbent for any model (its dominant baseline is one solution).
 
     The test is ``is_anchored_set``'s, kept incremental: z holds the
     dominant starts of s and the chosen jobs (-inf elsewhere).  A candidate
@@ -509,18 +510,17 @@ def _greedy_anchored_heuristic(inst: Instance, ld, which: str):
     """
     g = inst.graph
     lim = float(inst.deadline) + EPS
-    prefix = "z" if which == "dom" else "x"
     lags, reach = ld.values, ld.reach
     to_sink = g.to_sink()
     topo = np.array(g._topo)
 
     def heur(xlp: dict[str, float]) -> dict[str, float] | None:
+        if to_sink[S] > lim:  # s fails the test, so every set does
+            return None
         order = sorted(
             g.jobs,
             key=lambda j: (-xlp.get(f"h_{j}", 0.0), -inst.weights[j - 1], j),
         )
-        if to_sink[S] > lim:  # s fails the test, so every set does
-            order = []
         z = np.full(g.n + 2, -np.inf)
         z[S] = 0.0
         chosen = np.zeros(g.n + 2, dtype=bool)
@@ -537,14 +537,7 @@ def _greedy_anchored_heuristic(inst: Instance, ld, which: str):
             else:
                 z = trial
                 chosen[j] = True
-        try:
-            start = dominant_schedule(g, ld, np.flatnonzero(chosen), inst.deadline).start
-        except InfeasibleAnchoredSet:
-            return None
-        cand = {f"h_{j}": float(chosen[j]) for j in g.jobs}
-        for v in range(g.n + 2):
-            cand[f"{prefix}_{_node_label(g, v)}"] = float(start[v])
-        return cand
+        return {f"h_{j}": float(chosen[j]) for j in g.jobs}
 
     return heur
 
@@ -557,15 +550,14 @@ def solve_formulation(
 ) -> tuple[SolveResult, AnchoredSolution | None]:
     """Build one formulation, solve it as a MIP, and decode the solution.
 
-    Every model decodes to the dominant baseline of its anchored set, not to
-    the LP's schedule variables.
+    Every model runs the greedy heuristic on LD and decodes to the dominant
+    baseline of its anchored set, not to the LP's schedule variables.
     """
     which = which.lower()
     model, ld = _build(inst, which, chvatal)
-    heuristic = _greedy_anchored_heuristic(inst, ld, which) if which != "lay" else None
-    res = solve_mip(model, params, heuristic=heuristic)
-    if ld is None and res.x is not None:
+    if ld is None:  # the layered model reads no LD, its heuristic does
         ld = worst_case_longest_paths(inst.graph, inst.delta)
+    res = solve_mip(model, params, heuristic=_greedy_anchored_heuristic(inst, ld))
     return res, _decode(inst, ld, res)
 
 
@@ -573,12 +565,8 @@ def solve_formulation(
 class CutLoopStats:
     """Root cutting-plane diagnostics of the h-space solve."""
 
-    root_bound: float
     root_cuts: int
     root_rounds: int
-
-    def root_gap(self, opt: float) -> float:
-        return (self.root_bound - opt) / max(abs(opt), 1e-9)
 
 
 def solve_dom_cuts(
@@ -604,13 +592,10 @@ def solve_dom_cuts(
 
     rounds = 0
     cuts = 0
-    root_bound = np.nan
     while True:
         lp = solve_lp(master)
         if lp.status != "Optimal":
-            root_bound = np.nan
             break
-        root_bound = lp.value
         h = {j: lp.x[f"h_{j}"] for j in g.jobs}
         found = separate_chain(inst, l0, ld, h, "dom")
         if found is None:
@@ -634,9 +619,9 @@ def solve_dom_cuts(
         master,
         params,
         cut_callback=callback,
-        heuristic=_greedy_anchored_heuristic(inst, ld, "dom"),
+        heuristic=_greedy_anchored_heuristic(inst, ld),
     )
-    stats = CutLoopStats(root_bound=root_bound, root_cuts=cuts, root_rounds=rounds)
+    stats = CutLoopStats(root_cuts=cuts, root_rounds=rounds)
     return res, _decode(inst, ld, res), stats
 
 

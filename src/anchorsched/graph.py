@@ -165,13 +165,6 @@ class PrecedenceGraph:
             self._to_sink = to_t
         return self._to_sink
 
-    def comparable_pairs(self) -> Iterator[tuple[int, int]]:
-        """All (i, j) with a nonempty path i -> j, in sorted order."""
-        reach = self.reachability()
-        for i in range(self.n + 2):
-            for j in np.nonzero(reach[i])[0]:
-                yield i, int(j)
-
     # -- CSR views for the kernels ----------------------------------------
 
     def _incoming_csr(self):

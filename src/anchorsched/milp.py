@@ -11,19 +11,24 @@ simplex method*, 2005).  The leaving row is the largest bound violation and
 the entering column the smallest dual ratio, switching to smallest-index
 choices once the count of degenerate pivots passes a threshold; a hard pivot
 limit raises NumericalFailure.  The MIP solver is best-bound branch and bound
-on binary variables with most-fractional branching, an LP-rounding initial
-incumbent, and an optional cut callback that may reject integral candidates
-by adding globally valid rows.
+on binary variables with most-fractional branching, an optional cut
+callback that may reject integral candidates by adding globally valid rows,
+and one incumbent path for primal heuristics.  A heuristic (and LP rounding,
+the one built in) proposes values for the binaries only; the LP with those
+binaries fixed completes the continuous part, and its point is vetted like
+any other candidate.  When the objective lies on the binaries, a proposal
+that does not beat the incumbent is skipped before that LP.
 
 Only the root LP starts cold.  Every other LP starts from the final basis
 and at-upper flags of an earlier one: a node from its parent's (both
-children share the pair), the LP-rounding incumbent from the root's, and a
-re-solve after lazy cuts from the node's own, with each new row's logical
-joining the basis.  A branch fixes a binary that was basic, and a new
-logical has zero cost, so the basis stays dual feasible and the same dual
-phase re-optimizes it, usually in a few pivots (Achterberg, *Constraint
-Integer Programming*, 2007).  The tableau of that basis is rebuilt from one
-k x k block inverse over its k basic structurals, not from an m x m solve.
+children share the pair), the completion of a proposal from the basis of
+the node that proposed it, and a re-solve after lazy cuts from the node's
+own, with each new row's logical joining the basis.  A branch fixes a
+binary that was basic, and a new logical has zero cost, so the basis stays
+dual feasible and the same dual phase re-optimizes it, usually in a few
+pivots (Achterberg, *Constraint Integer Programming*, 2007).  The tableau
+of that basis is rebuilt from one k x k block inverse over its k basic
+structurals, not from an m x m solve.
 
 Models can be written to and re-read from the textual LP format (sections
 Maximize/Subject To/Bounds/Binary/End).
@@ -103,10 +108,6 @@ class SolveResult:
     runtime: float
     iterations: int = 0
     root_value: float = np.nan
-
-    @property
-    def incumbent(self) -> dict[str, float] | None:
-        return self.x
 
 
 class MipModel:
@@ -377,21 +378,21 @@ def _gap(bound: float, value: float) -> float:
     return abs(bound - value) / max(abs(value), GAP_FLOOR)
 
 
-def _objective_is_integral(model: MipModel) -> bool:
-    """True when every feasible point has an integer objective value.
+def _objective_shape(model: MipModel) -> tuple[bool, bool]:
+    """Whether the objective lies on the binaries, and whether it is integral.
 
-    Holds when all objective coefficients are integers and every variable
-    with a nonzero coefficient is binary; node bounds can then be rounded
+    On the binaries, the value of a proposal is known before the LP that
+    completes it.  Integral (integer coefficients on binaries only), every
+    feasible point has an integer value, so node bounds can be rounded
     toward the incumbent, which tightens pruning at no cost.
     """
+    integral = True
     for name, coef in model.objective.items():
-        if abs(coef) <= 1e-12:
-            continue
-        if abs(coef - round(coef)) > 1e-9:
-            return False
         if not model.variables[model._index[name]].binary:
-            return False
-    return True
+            return False, False
+        if abs(coef - round(coef)) > 1e-9:
+            integral = False
+    return True, integral
 
 
 def solve_mip(
@@ -402,21 +403,27 @@ def solve_mip(
 ) -> SolveResult:
     """Best-bound branch and bound over the binary variables.
 
-    Branches on the most fractional binary (ties to the smallest index); the
-    initial incumbent comes from rounding the root LP and re-solving with the
-    binaries fixed.  ``cut_callback(x)`` is invoked on integral LP solutions;
-    when it returns rows they are added to the model (globally valid cuts)
-    and the node is re-solved, otherwise the candidate becomes the incumbent.
-    ``heuristic(x)`` may turn any LP solution into a complete integral
-    assignment to try as an incumbent (it must cover every variable and is
-    still vetted against the rows and the lazy cuts).
+    Branches on the most fractional binary (ties to the smallest index).
+    ``cut_callback(x)`` is invoked on integral LP solutions; when it returns
+    rows they are added to the model (globally valid cuts) and the node is
+    re-solved, otherwise the candidate becomes the incumbent.
+
+    ``heuristic(x)`` turns the LP solution of the root and of every node it
+    branches into a proposal: a value for each binary, rounded to 0/1 (None
+    proposes nothing).  Rounding the root LP is one more proposal.  Each
+    proposal is completed by the LP with those binaries fixed, warm-started
+    from the proposing node's basis, and its point goes through the lazy
+    cuts and the row check like every candidate.  When the objective lies on
+    the binaries, a proposal that does not beat the incumbent is skipped
+    before that LP.
     """
     params = params or SolveParams()
     t0 = time.perf_counter()
     binaries = model.binaries()
+    bin_names = [model.variables[i].name for i in binaries]
     nodes = 0
     iterations = 0
-    obj_integral = _objective_is_integral(model)
+    obj_on_binaries, obj_integral = _objective_shape(model)
 
     def cap(bound: float) -> float:
         if not obj_integral or not np.isfinite(bound):
@@ -451,11 +458,7 @@ def solve_mip(
         return True
 
     def integral(x: dict[str, float]) -> bool:
-        return all(
-            abs(x[model.variables[i].name] - round(x[model.variables[i].name]))
-            <= INT_TOL
-            for i in binaries
-        )
+        return all(abs(x[v] - round(x[v])) <= INT_TOL for v in bin_names)
 
     def vet_cuts(x: dict[str, float]) -> bool:
         """Offer x to the lazy callback; True when it added (violated) rows."""
@@ -466,27 +469,26 @@ def solve_mip(
             model.add_row(coefs, cut_sense, cut_rhs)
         return bool(cuts)
 
-    def try_heuristic(xlp: dict[str, float] | None) -> None:
-        if heuristic is None or xlp is None:
+    def propose(binvals: Mapping[str, float] | None, start: tuple) -> None:
+        """Complete a proposal by the fixed-binary LP and offer its point."""
+        nonlocal iterations
+        if binvals is None:
             return
-        cand = heuristic(xlp)
-        if cand is None:
+        vals = {v: 1.0 if binvals[v] >= 0.5 else 0.0 for v in bin_names}
+        if obj_on_binaries and inc_x is not None and not better(
+            model.objective_value(vals), inc_val
+        ):
             return
-        cand = {v.name: float(cand[v.name]) for v in model.variables}
-        if not vet_cuts(cand):
-            try_incumbent(cand, model.objective_value(cand))
+        res, _ = _lp(model, dict(zip(binaries, vals.values())), start)
+        iterations += res.iterations
+        if res.status == "Optimal" and not vet_cuts(res.x):
+            try_incumbent(res.x, res.value)
 
     # primal incumbents at the root: the caller's heuristic, then LP rounding
-    try_heuristic(root.x)
-    if binaries and root.x is not None:
-        fixes = {
-            i: (1.0 if root.x[model.variables[i].name] >= 0.5 else 0.0)
-            for i in binaries
-        }
-        heur, _ = _lp(model, fixes, root_start)
-        iterations += heur.iterations
-        if heur.status == "Optimal" and not vet_cuts(heur.x):
-            try_incumbent(heur.x, heur.value)
+    if heuristic is not None:
+        propose(heuristic(root.x), root_start)
+    if binaries:
+        propose(root.x, root_start)
 
     seq = 0
     heap: list[tuple[float, int, dict[int, float], tuple]] = []
@@ -541,7 +543,8 @@ def solve_mip(
                 break
         if x is None:
             continue
-        try_heuristic(x)
+        if heuristic is not None:
+            propose(heuristic(x), start)
         if inc_x is not None and not better(cap(val), inc_val):
             continue
         # branch on the most fractional binary, ties to the smallest index

@@ -291,7 +291,9 @@ def test_numerical_failure_is_a_status_and_an_exit_code(
 
 
 def test_bench_lp_value_is_the_root_lp(tmp_path):
-    # read off the branch-and-bound root, equal to a separate relaxation solve
+    # read off the branch-and-bound root, equal to a separate relaxation solve;
+    # chain cuts describe the projection of the dom relaxation, so the root of
+    # the --cuts master has its value too
     for label, seed in (("ER_pRand_dRand_G2", 0), ("SP_pQCri_dUnif_G1", 1),
                         ("ER_pQCri_dRand_G3", 2)):
         inst = asd.make_instance(label, 8, seed)
@@ -302,6 +304,10 @@ def test_bench_lp_value_is_the_root_lp(tmp_path):
             assert rec.solved, (label, method)
             want = asd.lp_bound(asd.preprocess_deadline(inst), method)
             assert rec.lp_value == want, (label, method)
+        rec = cli.bench_task(str(path), "dom", 30.0, cuts=True)
+        assert rec.solved, label
+        want = asd.lp_bound(asd.preprocess_deadline(inst), "dom")
+        assert rec.lp_value == pytest.approx(want, abs=1e-9), label
 
 
 def test_mip_runtime_counts_setup(monkeypatch, fig_budget):

@@ -229,6 +229,33 @@ def test_root_lp_is_solved_once(monkeypatch):
     assert res.status == "Optimal" and res.value == pytest.approx(ref.objective)
 
 
+def test_proposal_that_cannot_win_runs_no_lp(monkeypatch):
+    # the objective lies on the binaries, so a proposal weighing no more
+    # than the incumbent is dropped before the LP that would complete it
+    import anchorsched.milp as milp
+
+    inst = asd.make_instance("SP_pZero_dUnif_G1", 20, 0)
+    model = asd.build_dom(inst)
+    empty = {f"h_{j}": 0.0 for j in inst.graph.jobs}
+    proposed, completed = [], []
+
+    def heuristic(x):
+        proposed.append(True)
+        return empty
+
+    def counting(model, fixes=None, start=None):
+        if fixes and len(fixes) == len(empty) and not any(fixes.values()):
+            completed.append(True)
+        return _lp(model, fixes, start)
+
+    monkeypatch.setattr(milp, "_lp", counting)
+    res = asd.solve_mip(model, heuristic=heuristic)
+    # only the root proposal, made before any incumbent, is completed
+    assert len(proposed) > 1 and len(completed) == 1
+    ref = asd.brute_force_optimum(inst)
+    assert res.status == "Optimal" and res.value == pytest.approx(ref.objective)
+
+
 def test_lp_statuses():
     m = MipModel()
     m.add_var("x", 0.0, 10.0)
