@@ -6,10 +6,11 @@ bound to the public name.  Both builds use the same tolerances and tie-breaking
 so results are identical across backends; ``tests/test_kernels.py`` runs every
 loop build as plain Python against its twin.  The kernels:
 
-* ``sweep`` — one topological pass that fills the longest-path values of a
-  block of sources over a block of budget states.  Every path matrix goes
-  through it: nominal and box (one state), budgeted ((node, used budget)
-  states) and partitioned (mixed-radix budget vectors).
+* ``sweep`` — one topological pass that fills ``val[v, st, i]``, the
+  longest-path values of a block of sources i over every budget state st,
+  states outside the sources.  Every path matrix goes through it: nominal
+  and box (one state), budgeted ((node, used budget) states) and
+  partitioned (mixed-radix budget vectors).
 * ``dual_phase`` — the bounded dual simplex on a dense tableau: bounds stay
   on the variables, and the start basis (all logicals, or a parent node's)
   is dual feasible, so one phase solves the LP.
@@ -34,7 +35,7 @@ _max = np.maximum
 # ---------------------------------------------------------------------------
 # DAG sweep over a block of sources and budget states
 # ---------------------------------------------------------------------------
-# val[v, i, st] is the longest path from sources[i] to v that ends in budget
+# val[v, st, i] is the longest path from sources[i] to v that ends in budget
 # state st.  States are mixed-radix budget vectors: group_of[u] is the budget
 # group of tail u (-1: arcs out of u never deviate), digit g of state st is
 # (st // stride[g]) % radix[g], the budget of group g spent so far, and
@@ -43,6 +44,11 @@ _max = np.maximum
 # weight, or, when u has a group whose digit is below its cap, raises that
 # digit by one at its deviated weight.  With no groups (empty stride) there
 # is one state, and the sweep is a plain longest-path pass from every source.
+# States lie outside the sources, so raising digit g moves runs of
+# stride[g] * n_src contiguous values: viewed as (outer, radix[g],
+# stride[g] * n_src), a node's row shifts by one slice along axis 1.  The
+# numpy build max-reduces a group's deviated arcs over whole contiguous rows,
+# then shifts the result by that one slice.
 
 
 def _sweep_loop(
@@ -50,28 +56,28 @@ def _sweep_loop(
 ):
     n_nodes = len(topo)
     n_src = len(sources)
-    val = np.full((n_nodes, n_src, n_states), NEG)
+    val = np.full((n_nodes, n_states, n_src), NEG)
     for i in range(n_src):
-        val[sources[i], i, 0] = 0.0
+        val[sources[i], 0, i] = 0.0
     for idx in range(n_nodes):
         v = topo[idx]
         for k in range(in_ptr[v], in_ptr[v + 1]):
             u = in_src[k]
-            for i in range(n_src):
-                for st in range(n_states):
-                    c = val[u, i, st] + wt_nom[k]
-                    if c > val[v, i, st]:
-                        val[v, i, st] = c
+            for st in range(n_states):
+                for i in range(n_src):
+                    c = val[u, st, i] + wt_nom[k]
+                    if c > val[v, st, i]:
+                        val[v, st, i] = c
             g = group_of[u]
             if g >= 0:
                 sg = stride[g]
                 rg = radix[g]
-                for i in range(n_src):
-                    for st in range(n_states):
-                        if (st // sg) % rg < rg - 1:
-                            c = val[u, i, st] + wt_dev[k]
-                            if c > val[v, i, st + sg]:
-                                val[v, i, st + sg] = c
+                for st in range(n_states):
+                    if (st // sg) % rg < rg - 1:
+                        for i in range(n_src):
+                            c = val[u, st, i] + wt_dev[k]
+                            if c > val[v, st + sg, i]:
+                                val[v, st + sg, i] = c
     return val
 
 
@@ -80,8 +86,8 @@ def _sweep_vec(
 ):
     n_nodes = len(topo)
     n_src = len(sources)
-    val = np.full((n_nodes, n_src, n_states), NEG)
-    val[sources, np.arange(n_src), 0] = 0.0
+    val = np.full((n_nodes, n_states, n_src), NEG)
+    val[sources, 0, np.arange(n_src)] = 0.0
     ptr = in_ptr.tolist()
     if len(stride) == 0 and n_src == 1:
         # one value per node: scalar compares beat row updates here
@@ -94,8 +100,7 @@ def _sweep_vec(
                     dist[v] = c
         return val
     # segs[v] lists the (start, stop, shape) of each group's slice of the arcs
-    # into v; digit g is axis 3 of a state block viewed as shape
-    # (n_src, outer, radix[g], stride[g]), so the shift raises that axis by one
+    # into v; shape (outer, radix[g], stride[g] * n_src) puts digit g on axis 1
     segs = [[] for _ in range(n_nodes)]
     if len(stride):
         head = np.repeat(np.arange(n_nodes), np.diff(in_ptr))
@@ -109,9 +114,9 @@ def _sweep_vec(
             g = int(grp[a])
             if g >= 0:
                 rg, sg = int(radix[g]), int(stride[g])
-                segs[head[a]].append((a, b, (n_src, n_states // (rg * sg), rg, sg)))
+                segs[head[a]].append((a, b, (n_states // (rg * sg), rg, sg * n_src)))
     wt_nom = wt_nom[:, None, None]
-    wt_dev = wt_dev[:, None, None, None, None]
+    wt_dev = wt_dev[:, None, None]
     for v in topo.tolist():
         lo, hi = ptr[v], ptr[v + 1]
         if hi == lo:
@@ -119,9 +124,9 @@ def _sweep_vec(
         block = val[in_src[lo:hi]]
         acc = _max.reduce(block + wt_nom[lo:hi])
         for a, b, shape in segs[v]:
-            part = block[a - lo : b - lo].reshape((b - a,) + shape)[:, :, :, :-1]
-            up = acc.reshape(shape)[:, :, 1:]
-            _max(up, _max.reduce(part + wt_dev[a:b]), out=up)
+            dev = _max.reduce(block[a - lo : b - lo] + wt_dev[a:b]).reshape(shape)
+            up = acc.reshape(shape)[:, 1:]
+            _max(up, dev[:, :-1], out=up)
         row = val[v]
         _max(row, acc, out=row)
     return val

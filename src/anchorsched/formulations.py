@@ -138,25 +138,23 @@ def build_std(
     return model
 
 
-def _pair_row_implied(l0, ld, sink, i: int, j: int) -> bool:
-    """Is the pair row for (i, j) implied by the rows through some job k?
+def _implied_heads(l0, ld, sink, i: int) -> np.ndarray:
+    """Which pair rows of tail i are implied by the rows through some job k?
 
     Adding the rows for (i, k) and (k, j) gives, using h_k >= 0,
     z_j - z_i >= L0(i, k) + L0(k, j) + gain(k, j) h_j; this dominates the
     (i, j) row whenever k lies on a longest nominal i-j path and the head
     tightening does not shrink, i.e. gain(k, j) >= gain(i, j) (heads at the
     sink carry no tightening).  Such rows can be skipped: the polytope — and
-    hence the LP bound — is unchanged, only the model gets smaller.
+    hence the LP bound — is unchanged, only the model gets smaller.  Entry j
+    of the result decides head j; heads not reachable from i are meaningless.
     """
-    ks = np.flatnonzero(l0.reach[i] & l0.reach[:, j])
-    if ks.size == 0:
-        return False
-    tight = l0.values[i, ks] + l0.values[ks, j] >= l0.values[i, j] - 1e-9
-    if j == sink:
-        return bool(np.any(tight))
-    gain_ij = ld.values[i, j] - l0.values[i, j]
-    gain_kj = ld.values[ks, j] - l0.values[ks, j]
-    return bool(np.any(tight & (gain_kj >= gain_ij - 1e-9)))
+    ks = np.flatnonzero(l0.reach[i])
+    tight = l0.values[i, ks, None] + l0.values[ks] >= l0.values[i] - 1e-9
+    with np.errstate(invalid="ignore"):  # -inf - -inf off reachability
+        keeps = ld.values[ks] - l0.values[ks] >= ld.values[i] - l0.values[i] - 1e-9
+    keeps[:, sink] = True
+    return np.any(l0.reach[ks] & tight & keeps, axis=0)
 
 
 def build_dom(
@@ -172,7 +170,7 @@ def build_dom(
     are implied because L0(i, j) >= p_i on arcs.  The head-to-t rows bound
     every z by M, so the declared upper bounds cut nothing.  Pair rows that
     are already implied through an intermediate job are omitted; the
-    feasible region is identical (see ``_pair_row_implied``).
+    feasible region is identical (see ``_implied_heads``).
     """
     l0, ld = _matrices(inst, l0, ld)
     g = inst.graph
@@ -186,19 +184,17 @@ def build_dom(
     for j in g.jobs:
         model.add_binary(f"h_{j}")
     model.add_row({"z_t": 1.0}, "<=", M, name="deadline")
-    for i, j in l0.pairs():
-        if i == g.t or j == S:
-            continue
-        if _pair_row_implied(l0, ld, g.t, i, j):
-            continue
-        li, lj = _node_label(g, i), _node_label(g, j)
-        base = float(l0.values[i, j])
-        coefs = {f"z_{lj}": 1.0, f"z_{li}": -1.0}
-        if j != g.t:
-            gain = float(ld.values[i, j]) - base
-            if gain != 0.0:
-                coefs[f"h_{j}"] = -gain
-        model.add_row(coefs, ">=", base, name=f"pair_{li}_{lj}")
+    for i in range(g.t):
+        implied = _implied_heads(l0, ld, g.t, i)
+        for j in np.flatnonzero(l0.reach[i] & ~implied).tolist():
+            li, lj = _node_label(g, i), _node_label(g, j)
+            base = float(l0.values[i, j])
+            coefs = {f"z_{lj}": 1.0, f"z_{li}": -1.0}
+            if j != g.t:
+                gain = float(ld.values[i, j]) - base
+                if gain != 0.0:
+                    coefs[f"h_{j}"] = -gain
+            model.add_row(coefs, ">=", base, name=f"pair_{li}_{lj}")
     _objective(model, inst)
     return model
 

@@ -6,8 +6,8 @@ the duration of its *tail*: length ``p_i`` (``p_s = 0``).  A schedule is a
 start-time vector ``x`` with ``x_s = 0`` and ``x_j - x_i >= p_i`` on every arc.
 
 Longest-path values ``L(i, j)`` are defined exactly on the transitive
-reachability relation.  They come from one DAG sweep over a block of sources
-at once (``path_sweep``, ``sweep_matrix``; see ``_kernels``), which the
+reachability relation.  They come from one DAG sweep over every source at
+once (``path_sweep``, ``sweep_matrix``; see ``_kernels``), which the
 worst-case matrices of ``uncertainty`` share.  The nominal all-pairs matrix is
 the workhorse for everything else: anchoring conditions, criticality checks,
 and formulation coefficients.
@@ -29,6 +29,9 @@ EPS = 1e-6
 S = 0  # source node id; the sink is n + 1
 
 _NO_GROUPS = np.zeros(0, dtype=np.int64)
+
+#: memory guard: most float64 values (16 MiB) one ``sweep_matrix`` pass holds
+SWEEP_CELLS = 2**21
 
 
 class PrecedenceGraph:
@@ -147,12 +150,16 @@ class PrecedenceGraph:
         """Strict transitive closure as a boolean matrix (cached)."""
         if self._reach is None:
             m = self.n + 2
-            reach = np.zeros((m, m), dtype=bool)
+            bits = [0] * m  # bit w of bits[v]: w is reachable from v
             for v in reversed(self._topo):
-                row = reach[v]
+                b = 0
                 for w in self._succ[v]:
-                    row[w] = True
-                    row |= reach[w]
+                    b |= bits[w] | (1 << w)
+                bits[v] = b
+            width = (m + 7) // 8
+            raw = b"".join(b.to_bytes(width, "little") for b in bits)
+            packed = np.frombuffer(raw, dtype=np.uint8).reshape(m, width)
+            reach = np.unpackbits(packed, axis=1, count=m, bitorder="little").view(bool)
             reach.setflags(write=False)
             self._reach = reach
         return self._reach
@@ -258,11 +265,12 @@ def topological_order(g: PrecedenceGraph) -> tuple[int, ...]:
 
 
 def path_sweep(g: PrecedenceGraph, sources, w_nom, w_dev=None, layout=None, reverse=False):
-    """``val[node, source, state]``: one topological pass from every source.
+    """``val[node, state, source]``: one topological pass from every source.
 
     An arc weighs its tail's entry of the node weights ``w_nom``, or of
     ``w_dev`` when it deviates.  ``layout`` is ``(group_of, stride, radix,
-    n_states)`` (see ``_kernels``) and defaults to one state.  With
+    n_states)`` (see ``_kernels``) and defaults to one state.  States lie
+    outside the sources, so each budget shift moves contiguous runs.  With
     ``reverse`` the pass runs on the reversed graph, so ``val[v]`` is the
     longest path from v to the source.
     """
@@ -286,17 +294,18 @@ def path_sweep(g: PrecedenceGraph, sources, w_nom, w_dev=None, layout=None, reve
 def sweep_matrix(g: PrecedenceGraph, w_nom, w_dev=None, layout=None) -> np.ndarray:
     """Longest-path matrix, the maximum over end states, row t left at -inf.
 
-    Sources are swept in blocks of max(1, m // n_states), so one block holds
-    at most max(m², m·n_states) values.
+    Every source goes in one pass of m·n_states values per source.  Only
+    when that pass would exceed ``SWEEP_CELLS`` values are the sources split
+    into blocks of max(1, SWEEP_CELLS // (m·n_states)).
     """
     m = g.n + 2
     n_states = 1 if layout is None else layout[3]
-    step = max(1, m // n_states)
+    step = max(1, SWEEP_CELLS // (m * n_states))
     values = np.full((m, m), -np.inf)
     for lo in range(0, g.t, step):
         block = np.arange(lo, min(lo + step, g.t))
         val = path_sweep(g, block, w_nom, w_dev, layout)
-        values[block] = val.max(axis=2).T
+        values[block] = val.max(axis=1).T
     return values
 
 

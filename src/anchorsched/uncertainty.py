@@ -319,7 +319,7 @@ def budgeted_dp(
         raise BudgetOutOfRange(f"gamma must be in 1..{g.n}, got {gamma}")
     w_dev = g.p + _dev_full(g, dhat)
     layout = _state_layout(g, dhat, [int(gamma)])
-    return path_sweep(g, [int(source)], g.p, w_dev, layout)[:, 0, :]
+    return path_sweep(g, [int(source)], g.p, w_dev, layout)[:, :, 0]
 
 
 def _budgeted_matrix(g: PrecedenceGraph, dhat, gamma: int) -> np.ndarray:

@@ -99,6 +99,24 @@ def worst_case_length(g, delta, i, j):
     return best
 
 
+def pair_row_implied(l0, ld, sink, i, j):
+    """The ``build_dom`` row reduction decided for one pair (i, j).
+
+    The row is implied when some job k between i and j lies on a longest
+    nominal i-j path and, unless j is the sink, has a head gain
+    LD(k, j) - L0(k, j) no smaller than that of (i, j).
+    """
+    ks = np.flatnonzero(l0.reach[i] & l0.reach[:, j])
+    if ks.size == 0:
+        return False
+    tight = l0.values[i, ks] + l0.values[ks, j] >= l0.values[i, j] - 1e-9
+    if j == sink:
+        return bool(np.any(tight))
+    gain_ij = ld.values[i, j] - l0.values[i, j]
+    gain_kj = ld.values[ks, j] - l0.values[ks, j]
+    return bool(np.any(tight & (gain_kj >= gain_ij - 1e-9)))
+
+
 def recourse_ok(g, dev, x, anchored, tol=1e-9):
     """Can the deviated graph be scheduled keeping the anchored starts?
 

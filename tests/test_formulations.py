@@ -10,12 +10,13 @@ from anchorsched.formulations import (
     chain_weight,
     _build,
     _greedy_anchored_heuristic,
+    _implied_heads,
     _matrices,
 )
 from anchorsched.milp import _lp
 
 from .conftest import five_job_graph
-from .oracles import path_longest, random_dag, random_instance
+from .oracles import pair_row_implied, path_longest, random_dag, random_instance
 
 
 def _assert_decoded(inst, ld, sol):
@@ -320,7 +321,7 @@ def test_pair_row_reduction_preserves_polytope(monkeypatch):
         )
         reduced = asd.build_dom(inst)
         with monkeypatch.context() as mp:
-            mp.setattr(fm, "_pair_row_implied", lambda *a: False)
+            mp.setattr(fm, "_implied_heads", lambda l0, *a: np.zeros(len(l0.reach), bool))
             full = asd.build_dom(inst)
         assert len(reduced.rows) <= len(full.rows)
         lp_r, lp_f = solve_lp(reduced), solve_lp(full)
@@ -330,6 +331,25 @@ def test_pair_row_reduction_preserves_polytope(monkeypatch):
             assert asd.solve_mip(reduced).value == pytest.approx(
                 asd.solve_mip(full).value, abs=1e-7
             )
+
+
+def test_implied_heads_match_the_pair_rule():
+    # the per-tail reduction of build_dom decides every pair as the per-pair rule
+    rng = np.random.default_rng(47)
+    kinds = ("box", "budget", "partition", "mixed", "scenarios")
+    decided = implied = 0
+    for trial in range(60):
+        inst = random_instance(rng, int(rng.integers(2, 10)), kinds[trial % 5])
+        g = inst.graph
+        l0, ld = _matrices(inst, None, None)
+        for i in range(g.t):
+            got = _implied_heads(l0, ld, g.t, i)
+            for j in np.flatnonzero(l0.reach[i]):
+                want = pair_row_implied(l0, ld, g.t, i, int(j))
+                assert got[j] == want, (trial, i, j)
+                decided += 1
+                implied += want
+    assert implied >= 100 and decided - implied >= 100  # both outcomes seen
 
 
 def _height_by_paths(g, dhat):

@@ -9,7 +9,7 @@ import anchorsched as asd
 from anchorsched.graph import S, _longest_to_sink
 
 from .conftest import chain3_graph, five_job_graph
-from .oracles import path_longest, random_dag
+from .oracles import enumerate_paths, path_longest, random_dag
 
 
 def test_basic_structure():
@@ -79,6 +79,19 @@ def test_all_pairs_longest_random_graphs():
                 else:
                     assert mat.reach[i, j]
                     assert have == pytest.approx(want, abs=1e-12)
+
+
+def test_reachability_matches_path_enumeration():
+    rng = np.random.default_rng(13)
+    for _ in range(40):
+        n = int(rng.integers(1, 10))
+        arcs = random_dag(rng, n, density=float(rng.uniform(0.1, 0.8)))
+        g = asd.PrecedenceGraph(n, arcs, np.ones(n))
+        want = [[i != j and bool(enumerate_paths(g.arcs, i, j)) for j in range(n + 2)]
+                for i in range(n + 2)]
+        reach = g.reachability()
+        assert reach.dtype == bool and not reach.flags.writeable
+        assert np.array_equal(reach, np.array(want))
 
 
 def test_pairs_iterates_comparable_only():

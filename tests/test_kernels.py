@@ -107,7 +107,7 @@ def test_sweep_vec_matches_loop():
                 np.asarray(sources, dtype=np.int64))
         want = _kernels._sweep_loop(*args)
         got = _kernels._sweep_vec(*args)
-        assert got.shape == (m, len(sources), layout[3]), trial
+        assert got.shape == (m, layout[3], len(sources)), trial
         assert np.array_equal(got, want), trial
         seen.add((kind, len(sources) == 1))
     assert len(seen) == 6  # every layout, with one source and with a chunk

@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 import anchorsched as asd
+from anchorsched import _kernels
+from anchorsched import graph as graph_mod
 from anchorsched.graph import S, sweep_matrix
 from anchorsched.uncertainty import (
     _dev_full,
+    _state_layout,
     budget_height,
     budgeted_dp,
     n_jobs_of,
@@ -176,6 +179,46 @@ def test_height_caps_keep_ld_bit_identical():
                        for pt in asd.extreme_points(delta, maximal_only=True)], axis=0)
         assert np.allclose(got[reach], enum[reach], rtol=0.0, atol=1e-9), trial
     assert above >= 20 and below >= 20  # both sides of the caps were exercised
+
+
+def _counting_sweep(monkeypatch):
+    """Wrap ``_kernels.sweep``; the list gets the source count of each pass."""
+    sizes = []
+    real = _kernels.sweep
+    monkeypatch.setattr(_kernels, "sweep", lambda *a: sizes.append(len(a[-1])) or real(*a))
+    return sizes
+
+
+def test_blocked_sweep_matches_one_pass(monkeypatch):
+    # one source per block (SWEEP_CELLS = 1) gives the one-pass LD bit for bit
+    rng = np.random.default_rng(31)
+    for trial in range(45):
+        n = int(rng.integers(2, 11))
+        arcs = random_dag(rng, n, density=float(rng.uniform(0.2, 0.8)))
+        g = asd.PrecedenceGraph(n, arcs, rng.integers(0, 5, n).astype(float))
+        dhat = rng.integers(1, 4, n).astype(float)
+        dhat[rng.random(n) < 0.4] = 0.0
+        delta, _ = _random_budget_set(rng, g, dhat, trial % 3)
+        with monkeypatch.context() as mp:
+            sizes = _counting_sweep(mp)
+            one = asd.worst_case_longest_paths(g, delta).values
+            assert g.t in sizes, trial  # every source in one pass
+            sizes.clear()
+            mp.setattr(graph_mod, "SWEEP_CELLS", 1)
+            blocked = asd.worst_case_longest_paths(g, delta).values
+            assert max(sizes) == 1, trial
+        assert np.array_equal(blocked, one), trial
+
+
+def test_sweep_matrix_is_one_pass_at_n240(monkeypatch):
+    inst = asd.make_instance("ER_pRand_dRand_Partition", 240, 0)
+    g, d = inst.graph, inst.delta
+    layout = _state_layout(g, d.dhat, d.gammas, d.parts)
+    assert layout[3] > 1
+    sizes = _counting_sweep(monkeypatch)
+    sweep_matrix(g, g.p, g.p + _dev_full(g, d.dhat), layout)
+    sweep_matrix(g, g.p)
+    assert sizes == [g.t, g.t]
 
 
 def test_state_guard_counts_capped_states():
