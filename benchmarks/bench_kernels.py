@@ -13,8 +13,9 @@ Workloads cover every accelerated kernel family through public entry points:
 * relaxation bound — the bounded dual simplex (and the two sweeps of L0, LD),
 * exhaustive optimum — the subset makespan scan,
 * branch and bound — the ``dom`` and ``lay`` MIPs, node LPs warm-started by
-  the dual simplex, incumbents from the greedy heuristic (nodes and pivots
-  are printed under the table).
+  the dual simplex, incumbents from the greedy heuristic, and the chain-cut
+  master of ``dom_cuts``, separated at every node (nodes and pivots are
+  printed under the table).
 
 Run ``PYTHONPATH=src python3 benchmarks/bench_kernels.py`` from the
 repository root.
@@ -37,6 +38,7 @@ WORKLOADS = (
     ("exhaustive optimum n=17", "brute"),
     ("branch and bound dom n=40", "bnb"),
     ("branch and bound lay n=20", "bnb_lay"),
+    ("branch and cut dom_cuts n=40", "bnc"),
 )
 
 
@@ -85,6 +87,9 @@ def _build(tag: str):
     if tag == "bnb_lay":
         inst = asd.make_instance("ER_pRand_dRand_G3", 20, 0)
         return lambda: asd.solve_formulation(inst, "lay")[0], None
+    if tag == "bnc":
+        inst = asd.make_instance("ER_pRand_dRand_G1", 40, 0)
+        return lambda: asd.solve_dom_cuts(inst)[0], None
     raise ValueError(tag)
 
 
@@ -95,7 +100,7 @@ def run_worker(repeat: int) -> dict:
     for label, tag in WORKLOADS:
         fn, note = _build(tag)
         res = fn()  # warm pass: JIT compilation and caches stay out of the timing
-        if tag in ("bnb", "bnb_lay"):
+        if tag in ("bnb", "bnb_lay", "bnc"):
             note = f"{res.nodes} nodes, {res.iterations} pivots"
         if note:
             out["counts"][label] = note

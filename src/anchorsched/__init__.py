@@ -11,7 +11,7 @@ deviation occurs (an *anchored* set).  It provides:
   one recursion over the anchored jobs, plus a brute-force reference
   (:mod:`anchorsched.anchored`);
 * three MIP formulations with chain-inequality separation and rounded
-  bounds on a self-contained simplex / branch-and-bound engine
+  bounds on a self-contained simplex / branch-and-cut engine
   (:mod:`anchorsched.formulations`, :mod:`anchorsched.milp`);
 * polynomial special cases — greatest-point sets, zero processing times,
   critical graphs under a single disruption (:mod:`anchorsched.exact`);

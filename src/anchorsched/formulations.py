@@ -22,8 +22,9 @@ Three equivalent mixed-integer models over binary anchoring indicators h:
 The h-projections of the ``dom`` and ``lay`` relaxations are described by
 chain inequalities: for every s-t chain in the comparability order, the sum of
 hop weights must not exceed the deadline.  ``separate_chain`` finds the most
-violated chain by a longest-path sweep, which powers both a cutting-plane
-solver in the h-space (``solve_dom_cuts``) and projection membership tests.
+violated chain by a longest-path sweep, which powers both a branch-and-cut
+solver in the h-space (``solve_dom_cuts``, separating at every node) and
+projection membership tests.
 """
 
 from __future__ import annotations
@@ -38,11 +39,7 @@ from .anchored import (
     Instance,
     dominant_schedule,
 )
-from .errors import (
-    DeadlineInfeasible,
-    NumericalFailure,
-    UnsupportedUncertainty,
-)
+from .errors import DeadlineInfeasible, UnsupportedUncertainty
 from .graph import (
     EPS,
     S,
@@ -62,9 +59,6 @@ from .uncertainty import (
 
 #: violation tolerance for chain separation
 SEP_TOL = 1e-6
-
-#: root separation rounds before ``solve_dom_cuts`` gives up
-MAX_CUT_ROUNDS = 5000
 
 
 def _node_label(g, v: int) -> str:
@@ -362,6 +356,31 @@ def add_chvatal_rows(
 # ---------------------------------------------------------------------------
 
 
+def _hop_weights(inst: Instance, l0, ld, h: Mapping[int, float], which: str):
+    """Chain hop weights at h: w[u, v] for tails u in {s} ∪ J, every node v.
+
+    A hop into a job v weighs L0(u,v) + (LD(u,v) - L0(u,v)) h_v for the pair
+    model or LD(u,v) - D_v(1 - h_v) for the layered model, a hop into t the
+    nominal L0(u,t), and a hop off reachability -inf.
+    """
+    g = inst.graph
+    which = which.lower()
+    if which not in ("dom", "lay"):
+        raise ValueError(f"unknown projection {which!r}")
+    hv = np.zeros(g.n + 2)
+    hv[1 : g.n + 1] = [float(h[j]) for j in g.jobs]
+    base, dev = l0.values[: g.t], ld.values[: g.t]
+    with np.errstate(invalid="ignore"):  # -inf - -inf off reachability
+        if which == "dom":
+            w = base + (dev - base) * hv
+        else:
+            D = _deviated_paths(g, _layer_data(inst, None, None)[0])[1]
+            w = dev - D * (1.0 - hv)
+    w[:, g.t] = base[:, g.t]
+    w[~ld.reach[: g.t]] = -np.inf
+    return w
+
+
 def separate_chain(
     inst: Instance,
     l0: LongestPathMatrix,
@@ -372,44 +391,26 @@ def separate_chain(
 ):
     """Most violated chain inequality at a (fractional) h, or None.
 
-    A chain is an s-t path in the comparability order.  Its weight sums, per
-    hop (i, j) with j a job, L0(i,j) + (LD(i,j) - L0(i,j)) h_j for the pair
-    model or LD(i,j) - D_j(1 - h_j) for the layered model, plus the nominal
-    L0(i,t) on the final hop; h is in the projection iff every chain weighs
-    at most M.  Returns (chain, violation) with the chain as a node tuple
-    including s and t.
+    A chain is an s-t path in the comparability order.  Its weight sums the
+    hop weights of ``_hop_weights``: per hop (i, j) with j a job,
+    L0(i,j) + (LD(i,j) - L0(i,j)) h_j for the pair model or
+    LD(i,j) - D_j(1 - h_j) for the layered model, plus the nominal L0(i,t)
+    on the final hop; h is in the projection iff every chain weighs at most
+    M.  The heaviest chain is one longest-path sweep, each node taking its
+    best tail by one vector max (ties to the smallest tail).  Returns
+    (chain, violation) with the chain as a node tuple including s and t.
     """
     g = inst.graph
-    which = which.lower()
-    if which not in ("dom", "lay"):
-        raise ValueError(f"unknown projection {which!r}")
-    hv = np.zeros(g.n + 2)
-    for j in g.jobs:
-        hv[j] = float(h[j])
-    if which == "lay":
-        D = _deviated_paths(g, _layer_data(inst, None, None)[0])[1]
-
-    reach = ld.reach
+    w = _hop_weights(inst, l0, ld, h, which)
     best = np.full(g.n + 2, -np.inf)
     best[S] = 0.0
     parent = np.full(g.n + 2, -1, dtype=np.int64)
     for v in topological_order(g):
         if v == S:
             continue
-        for u in range(g.n + 1):
-            if not reach[u, v]:
-                continue
-            if v == g.t:
-                w = float(l0.values[u, v])
-            elif which == "dom":
-                base = float(l0.values[u, v])
-                w = base + (float(ld.values[u, v]) - base) * hv[v]
-            else:
-                w = float(ld.values[u, v]) - float(D[v]) * (1.0 - hv[v])
-            cand = best[u] + w
-            if cand > best[v] + 1e-15:
-                best[v] = cand
-                parent[v] = u
+        cand = best[: g.t] + w[:, v]
+        u = int(np.argmax(cand))
+        best[v], parent[v] = cand[u], u
     violation = float(best[g.t]) - float(inst.deadline)
     if violation <= tol:
         return None
@@ -430,21 +431,9 @@ def chain_weight(
     h: Mapping[int, float],
     which: str = "dom",
 ) -> float:
-    """Weight of one specific chain at h (same hop convention as separation)."""
-    g = inst.graph
-    which = which.lower()
-    if which == "lay":
-        D = _deviated_paths(g, _layer_data(inst, None, None)[0])[1]
-    total = 0.0
-    for u, v in zip(chain[:-1], chain[1:]):
-        if v == g.t:
-            total += float(l0.values[u, v])
-        elif which == "dom":
-            base = float(l0.values[u, v])
-            total += base + (float(ld.values[u, v]) - base) * float(h[v])
-        else:
-            total += float(ld.values[u, v]) - float(D[v]) * (1.0 - float(h[v]))
-    return total
+    """Weight of one specific chain at h (same hop weights as separation)."""
+    w = _hop_weights(inst, l0, ld, h, which)
+    return float(sum(w[u, v] for u, v in zip(chain[:-1], chain[1:])))
 
 
 def chain_cut_row(
@@ -559,10 +548,10 @@ def solve_formulation(
 
 @dataclass
 class CutLoopStats:
-    """Root cutting-plane diagnostics of the h-space solve."""
+    """Root separation of the h-space solve: chain rows added, LP re-solves."""
 
-    root_cuts: int
-    root_rounds: int
+    root_cuts: int = 0
+    root_rounds: int = 0
 
 
 def solve_dom_cuts(
@@ -572,10 +561,13 @@ def solve_dom_cuts(
 ) -> tuple[SolveResult, AnchoredSolution | None, CutLoopStats]:
     """Solve via chain cuts on an h-only master instead of enumerated pairs.
 
-    The master model carries only the binary h variables; chain inequalities
-    are generated by separation — in a root cutting loop first, then lazily
-    inside branch and bound on integral candidates.  Schedules are recovered
-    from the final anchored set afterwards.
+    The master model carries only the binary h variables.  ``solve_mip``
+    offers it the LP point of every node, the root first, and re-solves the
+    node with the most violated chain inequality until none is violated, so
+    every node bounds as the ``dom`` relaxation under the same fixes.
+    Schedules are recovered from the final anchored set afterwards.  The
+    stats count the chains added, one per re-solve, before the heuristic's
+    first call, which ``solve_mip`` makes on the separated root.
     """
     l0, ld = _matrices(inst, None, None)
     g = inst.graph
@@ -585,39 +577,27 @@ def solve_dom_cuts(
     _objective(master, inst)
     if chvatal:
         add_chvatal_rows(master, inst, l0, ld)
-
-    rounds = 0
-    cuts = 0
-    while True:
-        lp = solve_lp(master)
-        if lp.status != "Optimal":
-            break
-        h = {j: lp.x[f"h_{j}"] for j in g.jobs}
-        found = separate_chain(inst, l0, ld, h, "dom")
-        if found is None:
-            break
-        chain, _ = found
-        master.add_row(*chain_cut_row(inst, l0, ld, chain), name=f"chain{cuts}")
-        cuts += 1
-        rounds += 1
-        if rounds > MAX_CUT_ROUNDS:
-            raise NumericalFailure("chain separation did not converge at the root")
+    stats = CutLoopStats()
+    at_root = True
 
     def callback(x: dict[str, float]):
         h = {j: x[f"h_{j}"] for j in g.jobs}
         found = separate_chain(inst, l0, ld, h, "dom")
         if found is None:
             return []
-        chain, _ = found
-        return [chain_cut_row(inst, l0, ld, chain)]
+        if at_root:
+            stats.root_cuts += 1
+            stats.root_rounds += 1
+        return [chain_cut_row(inst, l0, ld, found[0])]
 
-    res = solve_mip(
-        master,
-        params,
-        cut_callback=callback,
-        heuristic=_greedy_anchored_heuristic(inst, ld),
-    )
-    stats = CutLoopStats(root_cuts=cuts, root_rounds=rounds)
+    greedy = _greedy_anchored_heuristic(inst, ld)
+
+    def heuristic(x: dict[str, float]):
+        nonlocal at_root
+        at_root = False
+        return greedy(x)
+
+    res = solve_mip(master, params, cut_callback=callback, heuristic=heuristic)
     return res, _decode(inst, ld, res), stats
 
 

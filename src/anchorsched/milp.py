@@ -1,4 +1,4 @@
-"""Linear-model container, dense-simplex LP solver, and binary branch and bound.
+"""Linear-model container, dense-simplex LP solver, and binary branch and cut.
 
 The model is a plain container: variables with finite bounds (optionally
 binary), rows ``coefs {<=,>=,=} rhs``, and one linear objective.  The LP
@@ -10,23 +10,25 @@ one phase needs no bound rows, artificials or phase 1 (Koberstein, *The dual
 simplex method*, 2005).  The leaving row is the largest bound violation and
 the entering column the smallest dual ratio, switching to smallest-index
 choices once the count of degenerate pivots passes a threshold; a hard pivot
-limit raises NumericalFailure.  The MIP solver is best-bound branch and bound
-on binary variables with most-fractional branching, an optional cut
-callback that may reject integral candidates by adding globally valid rows,
-and one incumbent path for primal heuristics.  A heuristic (and LP rounding,
-the one built in) proposes values for the binaries only; the LP with those
-binaries fixed completes the continuous part, and its point is vetted like
-any other candidate.  When the objective lies on the binaries, a proposal
-that does not beat the incumbent is skipped before that LP.
+limit raises NumericalFailure.  The MIP solver is best-bound branch and cut
+on binary variables with most-fractional branching: an optional cut
+callback sees the LP point of every node, the root first, fractional or not,
+and the node is re-solved with the globally valid rows it returns until it
+returns none (Padberg & Rinaldi, *SIAM Review* 33(1), 1991).  One incumbent
+path serves primal heuristics.  A heuristic (and LP rounding, the one built
+in) proposes values for the binaries only; the LP with those binaries fixed
+completes the continuous part, and its point is vetted like any other
+candidate.  When the objective lies on the binaries, a proposal that does
+not beat the incumbent is skipped before that LP.
 
 Only the root LP starts cold.  Every other LP starts from the final basis
 and at-upper flags of an earlier one: a node from its parent's (both
 children share the pair), the completion of a proposal from the basis of
-the node that proposed it, and a re-solve after lazy cuts from the node's
-own, with each new row's logical joining the basis.  A branch fixes a
-binary that was basic, and a new logical has zero cost, so the basis stays
-dual feasible and the same dual phase re-optimizes it, usually in a few
-pivots (Achterberg, *Constraint Integer Programming*, 2007).  The tableau
+the node that proposed it, and a re-solve after cuts from the node's own,
+with each new row's logical joining the basis.  A branch fixes a binary
+that was basic, and a new logical has zero cost, so the basis stays dual
+feasible and the same dual phase re-optimizes it, usually in a few pivots
+(Achterberg, *Constraint Integer Programming*, 2007).  The tableau
 of that basis is rebuilt from one k x k block inverse over its k basic
 structurals, not from an m x m solve.
 
@@ -170,7 +172,6 @@ class MipModel:
         if name is None:
             name = f"c{len(self.rows)}"
         self.rows.append(Row(name, clean, sense, rhs))
-        self._form_cache = None
         return len(self.rows) - 1
 
     def set_objective(self, coefs: Mapping[str, float], maximize: bool = True):
@@ -200,20 +201,28 @@ class MipModel:
 
         Each row's logical s is bounded by its sense: ``<=`` gives
         (-inf, rhs], ``>=`` gives [rhs, inf) and ``=`` gives [rhs, rhs].
+        Rows added since the last call are appended to the cached arrays; a
+        new variable or objective clears the cache, and the next call builds
+        every row through the same append.
         """
         if self._form_cache is None:
-            m, n = len(self.rows), len(self.variables)
-            A = np.zeros((m, n))
-            lo = np.empty(n + m)
-            hi = np.empty(n + m)
-            for k, v in enumerate(self.variables):
-                lo[k], hi[k] = v.lb, v.ub
-            for k, row in enumerate(self.rows):
-                for var, c in row.coefs.items():
-                    A[k, self._index[var]] = c
-                lo[n + k] = -np.inf if row.sense == "<=" else row.rhs
-                hi[n + k] = np.inf if row.sense == ">=" else row.rhs
+            lo = np.array([v.lb for v in self.variables], dtype=float)
+            hi = np.array([v.ub for v in self.variables], dtype=float)
+            A = np.zeros((0, len(self.variables)))
             self._form_cache = (A, lo, hi, self.objective_vector())
+        A, lo, hi, c = self._form_cache
+        new = self.rows[len(A):]
+        if new:
+            block = np.zeros((len(new), A.shape[1]))
+            for k, row in enumerate(new):
+                for var, coef in row.coefs.items():
+                    block[k, self._index[var]] = coef
+            lo_s = [-np.inf if row.sense == "<=" else row.rhs for row in new]
+            hi_s = [np.inf if row.sense == ">=" else row.rhs for row in new]
+            self._form_cache = (
+                np.vstack([A, block]), np.concatenate([lo, lo_s]),
+                np.concatenate([hi, hi_s]), c,
+            )
         return self._form_cache
 
     def objective_vector(self) -> np.ndarray:
@@ -401,21 +410,25 @@ def solve_mip(
     cut_callback: CutCallback | None = None,
     heuristic: Heuristic | None = None,
 ) -> SolveResult:
-    """Best-bound branch and bound over the binary variables.
+    """Best-bound branch and cut over the binary variables.
 
-    Branches on the most fractional binary (ties to the smallest index).
-    ``cut_callback(x)`` is invoked on integral LP solutions; when it returns
-    rows they are added to the model (globally valid cuts) and the node is
-    re-solved, otherwise the candidate becomes the incumbent.
+    Every node, the root first, solves its LP and then separates:
+    ``cut_callback(x)`` sees the node's LP point, fractional or integral,
+    and the rows it returns are added to the model (globally valid cuts) and
+    the node is re-solved from its own basis, until the callback returns no
+    row or the node can no longer beat the incumbent.  Only then is the
+    point tested: an integral one becomes the incumbent, any other branches
+    on the most fractional binary (ties to the smallest index).
+    ``root_value`` is the root's value after its separation.
 
-    ``heuristic(x)`` turns the LP solution of the root and of every node it
-    branches into a proposal: a value for each binary, rounded to 0/1 (None
-    proposes nothing).  Rounding the root LP is one more proposal.  Each
-    proposal is completed by the LP with those binaries fixed, warm-started
-    from the proposing node's basis, and its point goes through the lazy
-    cuts and the row check like every candidate.  When the objective lies on
-    the binaries, a proposal that does not beat the incumbent is skipped
-    before that LP.
+    ``heuristic(x)`` turns the separated LP point of every node it branches,
+    the root first, into a proposal: a value for each binary, rounded to
+    0/1 (None proposes nothing).  Rounding the root LP is one more proposal.
+    Each proposal is completed by the LP with those binaries fixed,
+    warm-started from the proposing node's basis, and its point is offered
+    to the callback and the row check; a point the callback cuts off is
+    dropped.  When the objective lies on the binaries, a proposal that does
+    not beat the incumbent is skipped before that LP.
     """
     params = params or SolveParams()
     t0 = time.perf_counter()
@@ -423,6 +436,7 @@ def solve_mip(
     bin_names = [model.variables[i].name for i in binaries]
     nodes = 0
     iterations = 0
+    root_value = np.nan
     obj_on_binaries, obj_integral = _objective_shape(model)
 
     def cap(bound: float) -> float:
@@ -435,18 +449,17 @@ def solve_mip(
     def elapsed():
         return time.perf_counter() - t0
 
-    root, root_start = _lp(model)
-    root_rows = len(model.rows)
-    iterations += root.iterations
-    nodes += 1
-    if root.status == "Infeasible":
-        return SolveResult("Infeasible", None, np.nan, np.nan, np.nan, nodes, elapsed(), iterations)
-
     inc_x: dict[str, float] | None = None
     inc_val = -np.inf if model.maximize else np.inf
 
     def better(a, b):
         return a > b if model.maximize else a < b
+
+    def pruned(val: float) -> bool:
+        """Whether a node of LP value val cannot beat the incumbent."""
+        return inc_x is not None and (
+            not better(cap(val), inc_val) or _gap(cap(val), inc_val) <= GAP_TOL
+        )
 
     def try_incumbent(x: dict[str, float], val: float) -> bool:
         nonlocal inc_x, inc_val
@@ -461,13 +474,23 @@ def solve_mip(
         return all(abs(x[v] - round(x[v])) <= INT_TOL for v in bin_names)
 
     def vet_cuts(x: dict[str, float]) -> bool:
-        """Offer x to the lazy callback; True when it added (violated) rows."""
+        """Offer x to the callback; True when it added (violated) rows."""
         if cut_callback is None:
             return False
         cuts = list(cut_callback(x))
         for coefs, cut_sense, cut_rhs in cuts:
             model.add_row(coefs, cut_sense, cut_rhs)
         return bool(cuts)
+
+    def solve_node(fixes: dict[int, float], start):
+        """The node's LP, re-solved after every round of cuts."""
+        nonlocal iterations
+        res, start = _lp(model, fixes, start)
+        iterations += res.iterations
+        while res.status == "Optimal" and not pruned(res.value) and vet_cuts(res.x):
+            res, start = _lp(model, fixes, start)
+            iterations += res.iterations
+        return res, start
 
     def propose(binvals: Mapping[str, float] | None, start: tuple) -> None:
         """Complete a proposal by the fixed-binary LP and offer its point."""
@@ -484,28 +507,22 @@ def solve_mip(
         if res.status == "Optimal" and not vet_cuts(res.x):
             try_incumbent(res.x, res.value)
 
-    # primal incumbents at the root: the caller's heuristic, then LP rounding
-    if heuristic is not None:
-        propose(heuristic(root.x), root_start)
-    if binaries:
-        propose(root.x, root_start)
-
     seq = 0
-    heap: list[tuple[float, int, dict[int, float], tuple]] = []
+    heap: list[tuple[float, int, dict[int, float], tuple | None]] = []
     sense = -1.0 if model.maximize else 1.0
     combine = max if model.maximize else min
 
-    def push(bound: float, fixes: dict[int, float], start: tuple):
+    def push(bound: float, fixes: dict[int, float], start: tuple | None):
         nonlocal seq
         heapq.heappush(heap, (sense * bound, seq, fixes, start))
         seq += 1
 
-    push(cap(root.value), {}, root_start)
+    push(-sense * np.inf, {}, None)  # the root, solved cold
 
     status = "Optimal"
     bound_final: float | None = None
     while heap:
-        if elapsed() > params.time_limit:
+        if nodes and elapsed() > params.time_limit:  # the root always runs
             status = "TimeLimit"
             break
         neg_bound, _, fixes, start = heapq.heappop(heap)
@@ -514,38 +531,23 @@ def solve_mip(
             # every open node is bounded by this one (best-bound order)
             bound_final = combine(node_bound, inc_val)
             break
-        if not fixes and len(model.rows) == root_rows:
-            res = root  # the root LP, solved above and unchanged since
-        else:  # a child, or the root again after its heuristics added cuts
-            res, start = _lp(model, fixes, start)
-            iterations += res.iterations
-            nodes += bool(fixes)
+        res, start = solve_node(fixes, start)
+        nodes += 1
         if res.status != "Optimal":
             continue
         x, val = res.x, res.value
-        if inc_x is not None and (
-            not better(cap(val), inc_val) or _gap(cap(val), inc_val) <= GAP_TOL
-        ):
+        if not fixes:
+            root_value = val
+        if pruned(val):
             continue
-        while integral(x):
-            if not vet_cuts(x):
-                try_incumbent(x, val)
-                x = None
-                break
-            res, start = _lp(model, fixes, start)
-            iterations += res.iterations
-            if res.status != "Optimal":
-                x = None
-                break
-            x, val = res.x, res.value
-            if inc_x is not None and not better(val, inc_val):
-                x = None
-                break
-        if x is None:
+        if integral(x):
+            try_incumbent(x, val)
             continue
         if heuristic is not None:
             propose(heuristic(x), start)
-        if inc_x is not None and not better(cap(val), inc_val):
+        if not fixes:  # LP rounding, once, at the root
+            propose(x, start)
+        if pruned(val):
             continue
         # branch on the most fractional binary, ties to the smallest index
         cand = -1
@@ -558,9 +560,6 @@ def solve_mip(
             if dist < best_dist - 1e-12:
                 best_dist = dist
                 cand = i
-        if cand < 0:
-            try_incumbent(x, val)
-            continue
         for v in (0.0, 1.0):
             child = dict(fixes)
             child[cand] = v
@@ -570,7 +569,7 @@ def solve_mip(
         final_status = "TimeLimit" if status == "TimeLimit" else "Infeasible"
         return SolveResult(
             final_status, None, np.nan, np.nan, np.nan, nodes, elapsed(), iterations,
-            root.value,
+            root_value,
         )
     if bound_final is None:
         if heap:  # stopped early; heap[0] holds the best open bound
@@ -580,7 +579,7 @@ def solve_mip(
     gap = _gap(bound_final, inc_val)
     final = "Optimal" if status == "Optimal" else status
     return SolveResult(
-        final, inc_x, inc_val, bound_final, gap, nodes, elapsed(), iterations, root.value
+        final, inc_x, inc_val, bound_final, gap, nodes, elapsed(), iterations, root_value
     )
 
 

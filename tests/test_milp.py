@@ -66,6 +66,50 @@ def _random_lp(rng, nvar, nrow, nbin=0):
     return m
 
 
+def test_standard_form_appends_rows():
+    # rows added between calls are appended to the cached arrays, and a new
+    # variable or objective clears them; the arrays always equal a fresh
+    # copy's and the dense form read off the rows
+    rng = np.random.default_rng(29)
+    for trial in range(60):
+        src = _random_lp(rng, int(rng.integers(1, 8)), int(rng.integers(1, 7)),
+                         int(rng.integers(0, 3)))
+        grown, fresh = MipModel(), MipModel()
+        for v in src.variables:
+            for m in (grown, fresh):
+                m.add_var(v.name, v.lb, v.ub, v.binary)
+        grown._standard_form()
+        for m in (grown, fresh):
+            m.set_objective(src.objective, src.maximize)
+        extra_at = -1
+        if trial % 3 == 0 and src.rows:  # a variable added between rows
+            extra_at = int(rng.integers(0, len(src.rows)))
+        for k, row in enumerate(src.rows):
+            if rng.random() < 0.6:
+                grown._standard_form()
+            coefs = row.coefs
+            if k == extra_at:
+                for m in (grown, fresh):
+                    m.add_var("extra", -1.0, 2.0)
+            if 0 <= extra_at <= k:
+                coefs = dict(coefs, extra=1.0)
+            for m in (grown, fresh):
+                m.add_row(coefs, row.sense, row.rhs)
+        A = np.zeros((len(fresh.rows), fresh.n_vars))
+        for k, row in enumerate(fresh.rows):
+            for name, c in row.coefs.items():
+                A[k, fresh.var_index(name)] = c
+        rows = fresh.rows
+        lo = [v.lb for v in fresh.variables]
+        lo += [-np.inf if r.sense == "<=" else r.rhs for r in rows]
+        hi = [v.ub for v in fresh.variables]
+        hi += [np.inf if r.sense == ">=" else r.rhs for r in rows]
+        want = (A, np.array(lo), np.array(hi), fresh.objective_vector())
+        for got in (grown._standard_form(), fresh._standard_form()):
+            for a, b in zip(got, want, strict=True):
+                assert np.array_equal(a, b), trial
+
+
 def _scipy_lp(scipy_opt, m, fixes):
     """The LP relaxation of ``m`` with ``fixes`` (index -> value) by HiGHS."""
     idx = {v.name: k for k, v in enumerate(m.variables)}
@@ -346,24 +390,34 @@ def test_solve_mip_respects_gap_and_bound():
 
 
 def test_cut_callback_reaches_the_cut_optimum():
-    # maximize b0 + b1 subject to (lazily) b0 + b1 <= 1
-    m = MipModel()
-    m.add_binary("b0")
-    m.add_binary("b1")
-    m.set_objective({"b0": 1.0, "b1": 1.0}, maximize=True)
-    seen = []
+    # maximize b0 + b1 subject to b0 + b1 <= 1, known only to the callback;
+    # with the model row 2 b0 + 2 b1 <= 3 the root LP is fractional, and the
+    # callback sees it
+    for row_rhs in (None, 3.0):
+        m = MipModel()
+        m.add_binary("b0")
+        m.add_binary("b1")
+        if row_rhs is not None:
+            m.add_row({"b0": 2.0, "b1": 2.0}, "<=", row_rhs)
+        m.set_objective({"b0": 1.0, "b1": 1.0}, maximize=True)
+        offered, seen = [], []
 
-    def callback(x):
-        if x["b0"] + x["b1"] > 1.0 + 1e-9:
-            seen.append(dict(x))
-            return [({"b0": 1.0, "b1": 1.0}, "<=", 1.0)]
-        return []
+        def callback(x):
+            offered.append(dict(x))
+            if x["b0"] + x["b1"] > 1.0 + 1e-9:
+                seen.append(dict(x))
+                return [({"b0": 1.0, "b1": 1.0}, "<=", 1.0)]
+            return []
 
-    res = asd.solve_mip(m, cut_callback=callback)
-    assert res.status == "Optimal"
-    assert res.value == pytest.approx(1.0)
-    assert seen  # the cut actually fired
-    assert res.x["b0"] + res.x["b1"] <= 1.0 + 1e-6
+        res = asd.solve_mip(m, cut_callback=callback)
+        assert res.status == "Optimal"
+        assert res.value == pytest.approx(1.0)
+        assert seen  # the cut actually fired
+        assert res.x["b0"] + res.x["b1"] <= 1.0 + 1e-6
+        if row_rhs is not None:
+            # separated at the fractional root, not only on integral points
+            assert any(abs(v - round(v)) > 1e-6 for x in offered for v in x.values())
+            assert res.root_value == pytest.approx(1.0)
 
 
 def test_time_limit_status():
