@@ -41,6 +41,7 @@ from .errors import (
 )
 from .exact import (
     SolutionReport,
+    _report_mip,
     preprocess_deadline,
     solve_auto,
     solve_brute,
@@ -68,6 +69,11 @@ _EXIT_INFEASIBLE = 2
 _EXIT_UNSUPPORTED = 3
 _EXIT_PARSE = 4
 _EXIT_NUMERICAL = 5
+
+#: the MIP formulations a method can name
+FORMULATIONS = ("std", "dom", "lay")
+#: every method of ``solve`` and ``bench``
+METHODS = ("auto", *FORMULATIONS, "brute")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -126,8 +132,6 @@ def _solve_one(
     chvatal: bool,
     cuts: bool,
 ) -> SolutionReport:
-    from .exact import _report_mip  # uniform record shape
-
     if method == "auto":  # solve_auto preprocesses the deadline itself
         return solve_auto(inst, params, chvatal=chvatal, cuts=cuts)
     t0 = time.perf_counter()
@@ -136,11 +140,16 @@ def _solve_one(
         return solve_brute(work)
     if method == "dom" and cuts:
         res, sol, _ = solve_dom_cuts(work, params, chvatal=chvatal)
-        return _report_mip("dom_cuts", res, sol, time.perf_counter() - t0)
-    if method in ("std", "dom", "lay"):
+        return _report_mip("dom_cuts", work, res, sol, time.perf_counter() - t0)
+    if method in FORMULATIONS:
         res, sol = solve_formulation(work, method, params, chvatal=chvatal)
-        return _report_mip(method, res, sol, time.perf_counter() - t0)
+        return _report_mip(method, work, res, sol, time.perf_counter() - t0)
     raise ParseError(f"unknown method {method!r}")
+
+
+def _check_cuts(cuts: bool, methods) -> None:
+    if cuts and any(m not in ("dom", "auto") for m in methods):
+        raise ParseError("--cuts applies only to the dom or auto methods")
 
 
 def _report_to_dict(report: SolutionReport) -> dict:
@@ -177,10 +186,9 @@ def _print_report(data: dict, pretty: bool, stream) -> None:
 def cmd_solve(args) -> int:
     inst = read_instance(args.instance)
     params = SolveParams(time_limit=args.time_limit)
-    if args.cuts and args.method not in ("dom", "auto"):
-        raise ParseError("--cuts applies only to the dom or auto methods")
+    _check_cuts(args.cuts, [args.method])
     if args.export_lp:
-        which = args.method if args.method in ("std", "dom", "lay") else "dom"
+        which = args.method if args.method in FORMULATIONS else "dom"
         export_lp_file(build(preprocess_deadline(inst), which), args.export_lp)
     report = _solve_one(inst, args.method, params, args.chvatal, args.cuts)
     data = _report_to_dict(report)
@@ -247,7 +255,7 @@ def bench_task(
             lp_value=float("nan"), lp_gap=float("nan"),
         )
     lp_value = float("nan")
-    if report.solved and method in ("std", "dom", "lay"):
+    if report.solved and method in FORMULATIONS:
         lp_value = report.root_value
     lp_gap = (lp_value - report.objective) / max(abs(report.objective), 1e-9)
     return BenchRecord(
@@ -370,10 +378,9 @@ def cmd_bench(args) -> int:
         raise ParseError(f"no instance files in {root}")
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     for m in methods:
-        if m not in ("std", "dom", "lay", "auto", "brute"):
+        if m not in METHODS:
             raise ParseError(f"unknown method {m!r}")
-    if args.cuts and any(m not in ("dom", "auto") for m in methods):
-        raise ParseError("--cuts applies only to the dom or auto methods")
+    _check_cuts(args.cuts, methods)
     records = bench_paths(
         paths, methods, args.time_limit, args.chvatal, args.cuts, args.jobs
     )
@@ -488,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="solve one instance file")
     p_solve.add_argument("instance", help="instance JSON file")
     p_solve.add_argument("--method", default="auto",
-                         choices=("auto", "std", "dom", "lay", "brute"))
+                         choices=METHODS)
     p_solve.add_argument("--time-limit", type=float, default=300.0)
     p_solve.add_argument("--chvatal", action="store_true",
                          help="add rounded single-job bounds")
@@ -505,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", help="run methods over a directory")
     p_bench.add_argument("directory", help="directory of instance JSON files")
     p_bench.add_argument("--methods", default="dom",
-                         help="comma-separated subset of std,dom,lay,auto,brute")
+                         help=f"comma-separated subset of {','.join(METHODS)}")
     p_bench.add_argument("--time-limit", type=float, default=300.0)
     p_bench.add_argument("--chvatal", action="store_true")
     p_bench.add_argument("--cuts", action="store_true")

@@ -50,7 +50,7 @@ from .graph import (
     latest_schedule,
     single_source_longest,
 )
-from .milp import SolveParams, SolveResult, solve_lp
+from .milp import SolveParams, SolveResult, _gap, solve_lp
 from .uncertainty import OneDisruption, greatest_point, one_disruption_value
 
 
@@ -253,14 +253,30 @@ def _report_exact(method: str, sol: AnchoredSolution, runtime: float) -> Solutio
     )
 
 
-def _report_mip(method: str, res: SolveResult, sol, runtime: float) -> SolutionReport:
-    """Report of a MIP route; ``runtime`` covers LD, preprocessing and build too."""
+def _report_mip(
+    method: str, inst: Instance, res: SolveResult, sol, runtime: float
+) -> SolutionReport:
+    """Report of a MIP route; ``runtime`` covers LD, preprocessing and build too.
+
+    The objective is the weight of the decoded set, not the LP value of the
+    incumbent point.  An Optimal bound equals it; with integral weights any
+    other bound is rounded down as the branch and bound rounds node bounds.
+    """
+    objective, bound, gap = res.value, res.bound, res.gap
+    if sol is not None:
+        objective = sol.objective
+        w = inst.weights
+        if res.status == "Optimal":
+            bound = objective
+        elif np.all(np.abs(w - np.round(w)) <= 1e-9):
+            bound = float(np.floor(bound + 1e-6))
+        gap = _gap(bound, objective)
     return SolutionReport(
         method=method,
         status=res.status,
-        objective=res.value,
-        bound=res.bound,
-        gap=res.gap,
+        objective=objective,
+        bound=bound,
+        gap=gap,
         nodes=res.nodes,
         runtime=runtime,
         solution=sol,
@@ -311,7 +327,7 @@ def solve_auto(
     else:
         res, sol = solve_formulation(work, "dom", params, chvatal=chvatal)
     return _report_mip(
-        "dom_cuts" if cuts else "dom", res, sol, time.perf_counter() - t0
+        "dom_cuts" if cuts else "dom", work, res, sol, time.perf_counter() - t0
     )
 
 

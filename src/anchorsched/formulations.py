@@ -30,7 +30,6 @@ projection membership tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
@@ -356,7 +355,7 @@ def add_chvatal_rows(
 # ---------------------------------------------------------------------------
 
 
-def _hop_weights(inst: Instance, l0, ld, h: Mapping[int, float], which: str):
+def _hop_weights(inst: Instance, l0, ld, h: np.ndarray, which: str):
     """Chain hop weights at h: w[u, v] for tails u in {s} ∪ J, every node v.
 
     A hop into a job v weighs L0(u,v) + (LD(u,v) - L0(u,v)) h_v for the pair
@@ -368,7 +367,7 @@ def _hop_weights(inst: Instance, l0, ld, h: Mapping[int, float], which: str):
     if which not in ("dom", "lay"):
         raise ValueError(f"unknown projection {which!r}")
     hv = np.zeros(g.n + 2)
-    hv[1 : g.n + 1] = [float(h[j]) for j in g.jobs]
+    hv[1 : g.n + 1] = h
     base, dev = l0.values[: g.t], ld.values[: g.t]
     with np.errstate(invalid="ignore"):  # -inf - -inf off reachability
         if which == "dom":
@@ -385,14 +384,15 @@ def separate_chain(
     inst: Instance,
     l0: LongestPathMatrix,
     ld: LongestPathMatrix,
-    h: Mapping[int, float],
+    h: np.ndarray,
     which: str = "dom",
     tol: float = SEP_TOL,
 ):
     """Most violated chain inequality at a (fractional) h, or None.
 
-    A chain is an s-t path in the comparability order.  Its weight sums the
-    hop weights of ``_hop_weights``: per hop (i, j) with j a job,
+    h is a length-n vector, ``h[j - 1]`` the indicator of job j.  A chain
+    is an s-t path in the comparability order.  Its weight sums the hop
+    weights of ``_hop_weights``: per hop (i, j) with j a job,
     L0(i,j) + (LD(i,j) - L0(i,j)) h_j for the pair model or
     LD(i,j) - D_j(1 - h_j) for the layered model, plus the nominal L0(i,t)
     on the final hop; h is in the projection iff every chain weighs at most
@@ -428,10 +428,13 @@ def chain_weight(
     l0: LongestPathMatrix,
     ld: LongestPathMatrix,
     chain,
-    h: Mapping[int, float],
+    h: np.ndarray,
     which: str = "dom",
 ) -> float:
-    """Weight of one specific chain at h (same hop weights as separation)."""
+    """Weight of one specific chain at h (same hop weights as separation).
+
+    h is a length-n vector, ``h[j - 1]`` the indicator of job j.
+    """
     w = _hop_weights(inst, l0, ld, h, which)
     return float(sum(w[u, v] for u, v in zip(chain[:-1], chain[1:])))
 
@@ -476,12 +479,14 @@ def _decode(
     )
 
 
-def _greedy_anchored_heuristic(inst: Instance, ld):
+def _greedy_anchored_heuristic(inst: Instance, ld, model: MipModel):
     """LP-guided incumbent finder: grow a feasible anchored set greedily.
 
-    Jobs are tried in decreasing LP indicator value (weight breaks ties);
-    each one is kept if the enlarged set still fits the deadline.  The
-    proposal is the indicators h of the final set, None when not even the
+    Jobs are tried in decreasing LP indicator value (weight breaks ties,
+    then the smaller job); each one is kept if the enlarged set still fits
+    the deadline.  It reads and proposes vectors in the variable order of
+    ``model``, through an index array of h built once: the proposal holds
+    the indicators of the final set (0 elsewhere), None when not even the
     empty set fits.  Every formulation is exact on the h-space, so the LP
     with those indicators fixed is feasible, and ``solve_mip`` completes it
     into an incumbent for any model (its dominant baseline is one solution).
@@ -498,18 +503,16 @@ def _greedy_anchored_heuristic(inst: Instance, ld):
     lags, reach = ld.values, ld.reach
     to_sink = g.to_sink()
     topo = np.array(g._topo)
+    h_index = np.array([model.var_index(f"h_{j}") for j in g.jobs], dtype=np.intp)
 
-    def heur(xlp: dict[str, float]) -> dict[str, float] | None:
+    def heur(xlp: np.ndarray) -> np.ndarray | None:
         if to_sink[S] > lim:  # s fails the test, so every set does
             return None
-        order = sorted(
-            g.jobs,
-            key=lambda j: (-xlp.get(f"h_{j}", 0.0), -inst.weights[j - 1], j),
-        )
+        order = 1 + np.lexsort((-inst.weights, -xlp[h_index]))
         z = np.full(g.n + 2, -np.inf)
         z[S] = 0.0
         chosen = np.zeros(g.n + 2, dtype=bool)
-        for j in order:
+        for j in order.tolist():
             zj = max(0.0, (z + lags[:, j]).max())
             if zj + to_sink[j] > lim:
                 continue
@@ -522,7 +525,9 @@ def _greedy_anchored_heuristic(inst: Instance, ld):
             else:
                 z = trial
                 chosen[j] = True
-        return {f"h_{j}": float(chosen[j]) for j in g.jobs}
+        proposal = np.zeros(model.n_vars)
+        proposal[h_index] = chosen[1 : g.n + 1]
+        return proposal
 
     return heur
 
@@ -542,7 +547,8 @@ def solve_formulation(
     model, ld = _build(inst, which, chvatal)
     if ld is None:  # the layered model reads no LD, its heuristic does
         ld = worst_case_longest_paths(inst.graph, inst.delta)
-    res = solve_mip(model, params, heuristic=_greedy_anchored_heuristic(inst, ld))
+    heuristic = _greedy_anchored_heuristic(inst, ld, model)
+    res = solve_mip(model, params, heuristic=heuristic)
     return res, _decode(inst, ld, res)
 
 
@@ -580,9 +586,8 @@ def solve_dom_cuts(
     stats = CutLoopStats()
     at_root = True
 
-    def callback(x: dict[str, float]):
-        h = {j: x[f"h_{j}"] for j in g.jobs}
-        found = separate_chain(inst, l0, ld, h, "dom")
+    def callback(x: np.ndarray):  # the master's variables are h_1..h_n
+        found = separate_chain(inst, l0, ld, x, "dom")
         if found is None:
             return []
         if at_root:
@@ -590,9 +595,9 @@ def solve_dom_cuts(
             stats.root_rounds += 1
         return [chain_cut_row(inst, l0, ld, found[0])]
 
-    greedy = _greedy_anchored_heuristic(inst, ld)
+    greedy = _greedy_anchored_heuristic(inst, ld, master)
 
-    def heuristic(x: dict[str, float]):
+    def heuristic(x: np.ndarray):
         nonlocal at_root
         at_root = False
         return greedy(x)

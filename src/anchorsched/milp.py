@@ -19,7 +19,10 @@ path serves primal heuristics.  A heuristic (and LP rounding, the one built
 in) proposes values for the binaries only; the LP with those binaries fixed
 completes the continuous part, and its point is vetted like any other
 candidate.  When the objective lies on the binaries, a proposal that does
-not beat the incumbent is skipped before that LP.
+not beat the incumbent is skipped before that LP.  Branch and cut works on
+the simplex's own vectors, one value per variable in model order, and
+minimizes (the negated costs of a maximized model): callbacks and
+heuristics see those vectors, and only the returned incumbent is named.
 
 Only the root LP starts cold.  Every other LP starts from the final basis
 and at-upper flags of an earlier one: a node from its parent's (both
@@ -39,9 +42,10 @@ Maximize/Subject To/Bounds/Binary/End).
 from __future__ import annotations
 
 import heapq
+import itertools
 import re
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -231,23 +235,15 @@ class MipModel:
             c[self._index[var]] = coef
         return c
 
-    def objective_value(self, x: Mapping[str, float]) -> float:
-        return float(sum(c * x[v] for v, c in self.objective.items()))
+    def max_violation(self, x: np.ndarray) -> float:
+        """Largest bound or row violation of x, in variable order (0 if feasible).
 
-    def max_violation(self, x: Mapping[str, float]) -> float:
-        """Largest constraint violation of the point (0 when feasible)."""
-        worst = 0.0
-        for row in self.rows:
-            lhs = sum(c * x[v] for v, c in row.coefs.items())
-            if row.sense == "<=":
-                worst = max(worst, lhs - row.rhs)
-            elif row.sense == ">=":
-                worst = max(worst, row.rhs - lhs)
-            else:
-                worst = max(worst, abs(lhs - row.rhs))
-        for v in self.variables:
-            worst = max(worst, v.lb - x[v.name], x[v.name] - v.ub)
-        return float(worst)
+        On the standard form, x and the row activities A x are checked
+        against the bounds of [x, s].
+        """
+        A, lo, hi, _ = self._standard_form()
+        z = np.concatenate([x, A @ x])
+        return float(np.max(np.maximum(lo - z, z - hi), initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -360,9 +356,14 @@ def _lp(model: MipModel, fixes=None, start=None):
     rt = time.perf_counter() - t0
     if status != "Optimal":
         return SolveResult(status, None, np.nan, np.nan, np.nan, 0, rt, iters), None
-    x = {v.name: float(x_full[i]) for i, v in enumerate(model.variables)}
-    val = model.objective_value(x)
+    val = float(model._standard_form()[3] @ x_full)
+    x = _named(model, x_full)
     return SolveResult("Optimal", x, val, val, 0.0, 0, rt, iters), final
+
+
+def _named(model: MipModel, x: np.ndarray) -> dict[str, float]:
+    """The {name: value} form of a vector in model variable order."""
+    return dict(zip((v.name for v in model.variables), x.tolist()))
 
 
 def solve_lp(model: MipModel) -> SolveResult:
@@ -379,29 +380,12 @@ def solve_lp(model: MipModel) -> SolveResult:
 # ---------------------------------------------------------------------------
 
 
-CutCallback = Callable[[dict[str, float]], Iterable[tuple[Mapping[str, float], str, float]]]
-Heuristic = Callable[[dict[str, float]], Mapping[str, float] | None]
+CutCallback = Callable[[np.ndarray], Iterable[tuple[Mapping[str, float], str, float]]]
+Heuristic = Callable[[np.ndarray], np.ndarray | None]
 
 
 def _gap(bound: float, value: float) -> float:
     return abs(bound - value) / max(abs(value), GAP_FLOOR)
-
-
-def _objective_shape(model: MipModel) -> tuple[bool, bool]:
-    """Whether the objective lies on the binaries, and whether it is integral.
-
-    On the binaries, the value of a proposal is known before the LP that
-    completes it.  Integral (integer coefficients on binaries only), every
-    feasible point has an integer value, so node bounds can be rounded
-    toward the incumbent, which tightens pruning at no cost.
-    """
-    integral = True
-    for name, coef in model.objective.items():
-        if not model.variables[model._index[name]].binary:
-            return False, False
-        if abs(coef - round(coef)) > 1e-9:
-            integral = False
-    return True, integral
 
 
 def solve_mip(
@@ -411,6 +395,10 @@ def solve_mip(
     heuristic: Heuristic | None = None,
 ) -> SolveResult:
     """Best-bound branch and cut over the binary variables.
+
+    Points are the simplex's own vectors, one value per variable in model
+    order, and the objective is minimized internally (its negation when the
+    model maximizes); only the returned incumbent is named.
 
     Every node, the root first, solves its LP and then separates:
     ``cut_callback(x)`` sees the node's LP point, fractional or integral,
@@ -422,58 +410,51 @@ def solve_mip(
     ``root_value`` is the root's value after its separation.
 
     ``heuristic(x)`` turns the separated LP point of every node it branches,
-    the root first, into a proposal: a value for each binary, rounded to
-    0/1 (None proposes nothing).  Rounding the root LP is one more proposal.
-    Each proposal is completed by the LP with those binaries fixed,
-    warm-started from the proposing node's basis, and its point is offered
-    to the callback and the row check; a point the callback cuts off is
-    dropped.  When the objective lies on the binaries, a proposal that does
-    not beat the incumbent is skipped before that LP.
+    the root first, into a proposal: a vector whose binary entries, rounded
+    to 0/1, are read (None proposes nothing).  Rounding the root LP is one
+    more proposal.  Each proposal is completed by the LP with those binaries
+    fixed, warm-started from the proposing node's basis, and its point is
+    offered to the callback and the row check; a point the callback cuts off
+    is dropped.  When the objective lies on the binaries, a proposal that
+    does not beat the incumbent is skipped before that LP.
     """
     params = params or SolveParams()
     t0 = time.perf_counter()
-    binaries = model.binaries()
-    bin_names = [model.variables[i].name for i in binaries]
+    binaries = np.array(model.binaries(), dtype=np.intp)
+    sign = -1.0 if model.maximize else 1.0
+    cost = sign * model._standard_form()[3]
     nodes = 0
     iterations = 0
     root_value = np.nan
-    obj_on_binaries, obj_integral = _objective_shape(model)
+    # On the binaries, the value of a proposal is known before the LP that
+    # completes it.  Integral there, every feasible point has an integer
+    # value, so node bounds round toward the incumbent at no cost.
+    obj_on_binaries = not np.any(np.delete(cost, binaries))
+    obj_integral = obj_on_binaries and np.all(np.abs(cost - np.round(cost)) <= 1e-9)
 
     def cap(bound: float) -> float:
         if not obj_integral or not np.isfinite(bound):
             return bound
-        return float(
-            np.floor(bound + 1e-6) if model.maximize else np.ceil(bound - 1e-6)
-        )
+        return float(np.ceil(bound - 1e-6))
 
     def elapsed():
         return time.perf_counter() - t0
 
-    inc_x: dict[str, float] | None = None
-    inc_val = -np.inf if model.maximize else np.inf
-
-    def better(a, b):
-        return a > b if model.maximize else a < b
+    inc_x: np.ndarray | None = None
+    inc_val = np.inf
 
     def pruned(val: float) -> bool:
         """Whether a node of LP value val cannot beat the incumbent."""
         return inc_x is not None and (
-            not better(cap(val), inc_val) or _gap(cap(val), inc_val) <= GAP_TOL
+            cap(val) >= inc_val or _gap(cap(val), inc_val) <= GAP_TOL
         )
 
-    def try_incumbent(x: dict[str, float], val: float) -> bool:
+    def try_incumbent(x: np.ndarray, val: float) -> None:
         nonlocal inc_x, inc_val
-        if inc_x is not None and not better(val, inc_val):
-            return False
-        if model.max_violation(x) > 5e-6:
-            return False
-        inc_x, inc_val = dict(x), val
-        return True
+        if (inc_x is None or val < inc_val) and model.max_violation(x) <= 5e-6:
+            inc_x, inc_val = x, val
 
-    def integral(x: dict[str, float]) -> bool:
-        return all(abs(x[v] - round(x[v])) <= INT_TOL for v in bin_names)
-
-    def vet_cuts(x: dict[str, float]) -> bool:
+    def vet_cuts(x: np.ndarray) -> bool:
         """Offer x to the callback; True when it added (violated) rows."""
         if cut_callback is None:
             return False
@@ -482,42 +463,36 @@ def solve_mip(
             model.add_row(coefs, cut_sense, cut_rhs)
         return bool(cuts)
 
+    def solve(fixes: dict[int, float], start):
+        """One LP: its point (None unless Optimal), value and final pair."""
+        nonlocal iterations
+        _, x, iters, start = _simplex(model, fixes, start)
+        iterations += iters
+        return x, np.nan if x is None else float(cost @ x), start
+
     def solve_node(fixes: dict[int, float], start):
         """The node's LP, re-solved after every round of cuts."""
-        nonlocal iterations
-        res, start = _lp(model, fixes, start)
-        iterations += res.iterations
-        while res.status == "Optimal" and not pruned(res.value) and vet_cuts(res.x):
-            res, start = _lp(model, fixes, start)
-            iterations += res.iterations
-        return res, start
+        x, val, start = solve(fixes, start)
+        while x is not None and not pruned(val) and vet_cuts(x):
+            x, val, start = solve(fixes, start)
+        return x, val, start
 
-    def propose(binvals: Mapping[str, float] | None, start: tuple) -> None:
+    def propose(proposal: np.ndarray | None, start: tuple) -> None:
         """Complete a proposal by the fixed-binary LP and offer its point."""
-        nonlocal iterations
-        if binvals is None:
+        if proposal is None:
             return
-        vals = {v: 1.0 if binvals[v] >= 0.5 else 0.0 for v in bin_names}
-        if obj_on_binaries and inc_x is not None and not better(
-            model.objective_value(vals), inc_val
-        ):
+        vals = np.where(proposal[binaries] >= 0.5, 1.0, 0.0)
+        if obj_on_binaries and inc_x is not None and cost[binaries] @ vals >= inc_val:
             return
-        res, _ = _lp(model, dict(zip(binaries, vals.values())), start)
-        iterations += res.iterations
-        if res.status == "Optimal" and not vet_cuts(res.x):
-            try_incumbent(res.x, res.value)
+        x, val, _ = solve(dict(zip(binaries.tolist(), vals.tolist())), start)
+        if x is not None and not vet_cuts(x):
+            try_incumbent(x, val)
 
-    seq = 0
-    heap: list[tuple[float, int, dict[int, float], tuple | None]] = []
-    sense = -1.0 if model.maximize else 1.0
-    combine = max if model.maximize else min
-
-    def push(bound: float, fixes: dict[int, float], start: tuple | None):
-        nonlocal seq
-        heapq.heappush(heap, (sense * bound, seq, fixes, start))
-        seq += 1
-
-    push(-sense * np.inf, {}, None)  # the root, solved cold
+    # (bound, creation order, fixes, warm-start pair); the root is solved cold
+    order = itertools.count()
+    heap: list[tuple[float, int, dict[int, float], tuple | None]] = [
+        (-np.inf, next(order), {}, None)
+    ]
 
     status = "Optimal"
     bound_final: float | None = None
@@ -525,22 +500,21 @@ def solve_mip(
         if nodes and elapsed() > params.time_limit:  # the root always runs
             status = "TimeLimit"
             break
-        neg_bound, _, fixes, start = heapq.heappop(heap)
-        node_bound = sense * neg_bound
+        node_bound, _, fixes, start = heapq.heappop(heap)
         if inc_x is not None and _gap(node_bound, inc_val) <= GAP_TOL:
             # every open node is bounded by this one (best-bound order)
-            bound_final = combine(node_bound, inc_val)
+            bound_final = min(node_bound, inc_val)
             break
-        res, start = solve_node(fixes, start)
+        x, val, start = solve_node(fixes, start)
         nodes += 1
-        if res.status != "Optimal":
+        if x is None:
             continue
-        x, val = res.x, res.value
         if not fixes:
-            root_value = val
+            root_value = sign * val
         if pruned(val):
             continue
-        if integral(x):
+        xb = x[binaries]
+        if np.all(np.abs(xb - np.round(xb)) <= INT_TOL):
             try_incumbent(x, val)
             continue
         if heuristic is not None:
@@ -552,34 +526,26 @@ def solve_mip(
         # branch on the most fractional binary, ties to the smallest index
         cand = -1
         best_dist = 2.0
-        for i in binaries:
-            if i in fixes:
-                continue
-            xi = x[model.variables[i].name]
-            dist = abs(xi - np.floor(xi) - 0.5)
-            if dist < best_dist - 1e-12:
+        for i, dist in zip(binaries.tolist(), np.abs(xb - np.floor(xb) - 0.5).tolist()):
+            if i not in fixes and dist < best_dist - 1e-12:
                 best_dist = dist
                 cand = i
         for v in (0.0, 1.0):
             child = dict(fixes)
             child[cand] = v
-            push(cap(val), child, start)
+            heapq.heappush(heap, (cap(val), next(order), child, start))
 
     if inc_x is None:
-        final_status = "TimeLimit" if status == "TimeLimit" else "Infeasible"
         return SolveResult(
-            final_status, None, np.nan, np.nan, np.nan, nodes, elapsed(), iterations,
-            root_value,
+            "TimeLimit" if status == "TimeLimit" else "Infeasible", None, np.nan,
+            np.nan, np.nan, nodes, elapsed(), iterations, root_value,
         )
     if bound_final is None:
-        if heap:  # stopped early; heap[0] holds the best open bound
-            bound_final = combine(sense * heap[0][0], inc_val)
-        else:
-            bound_final = inc_val
-    gap = _gap(bound_final, inc_val)
-    final = "Optimal" if status == "Optimal" else status
+        # stopped early, heap[0] holding the best open bound, or proved
+        bound_final = min(heap[0][0], inc_val) if heap else inc_val
     return SolveResult(
-        final, inc_x, inc_val, bound_final, gap, nodes, elapsed(), iterations, root_value
+        status, _named(model, inc_x), sign * inc_val, sign * bound_final,
+        _gap(bound_final, inc_val), nodes, elapsed(), iterations, root_value,
     )
 
 

@@ -339,3 +339,19 @@ def random_instance(rng, n, kind, weighted=False):
     return asd.Instance(
         graph=g, delta=delta, deadline=deadline, weights=weights, meta={}
     )
+
+
+def max_violation(model, x):
+    """Largest row or bound violation of a named point, one row at a time."""
+    worst = 0.0
+    for row in model.rows:
+        lhs = sum(c * x[v] for v, c in row.coefs.items())
+        if row.sense == "<=":
+            worst = max(worst, lhs - row.rhs)
+        elif row.sense == ">=":
+            worst = max(worst, row.rhs - lhs)
+        else:
+            worst = max(worst, abs(lhs - row.rhs))
+    for v in model.variables:
+        worst = max(worst, v.lb - x[v.name], x[v.name] - v.ub)
+    return float(worst)

@@ -139,10 +139,10 @@ def test_criterion_01_worked_examples():
     d_vec = [dist_dev[j] - nom[j] for j in cg.jobs]
     assert np.allclose(d_vec, [0.0, 1.0, 2.0], atol=tol)
 
-    h_star = {1: 1.0, 2: 0.0, 3: 0.5}
+    h_star = np.array([1.0, 0.0, 0.5])
     # h* is a projection point of the layered relaxation ...
     lay = asd.build_lay(chain)
-    for j, val in h_star.items():
+    for j, val in zip(cg.jobs, h_star):
         lay.add_row({f"h_{j}": 1.0}, "=", val)
     assert solve_lp(lay).status == "Optimal"
     assert asd.separate_chain(chain, l0, ld, h_star, "lay") is None

@@ -315,3 +315,17 @@ def test_solve_auto_on_former_simplex_stalls(label):
     rep = asd.solve_auto(inst)
     assert rep.method == "dom" and rep.status == "Optimal"
     assert rep.objective == pytest.approx(asd.brute_force_optimum(inst).objective)
+
+
+def test_mip_report_objective_is_the_set_weight():
+    # the incumbent's LP value here is 40.000000000000014 on the dom route;
+    # the report carries the weight of the decoded set, and so does the bound
+    inst = asd.make_instance("ER_pQCri_dRand_G2", 60, 0)
+    for cuts in (False, True):
+        rep = asd.solve_auto(inst, cuts=cuts)
+        assert rep.status == "Optimal" and rep.gap == 0.0
+        assert rep.objective == rep.bound == rep.solution.objective == 40.0
+    # stopped after the root: the bound is rounded down to an integer
+    rep = asd.solve_auto(inst, asd.SolveParams(time_limit=0.0))
+    assert rep.status == "TimeLimit" and rep.objective == rep.solution.objective
+    assert rep.bound == np.floor(rep.bound) >= rep.objective

@@ -143,7 +143,7 @@ def test_chvatal_bounds_are_valid():
 
 def test_separate_chain_golden(chain3):
     l0, ld = _matrices(chain3, None, None)
-    h = {1: 1.0, 2: 0.0, 3: 0.5}
+    h = np.array([1.0, 0.0, 0.5])
     found = asd.separate_chain(chain3, l0, ld, h, "dom")
     assert found is not None
     chain, violation = found
@@ -151,7 +151,7 @@ def test_separate_chain_golden(chain3):
     assert chain_weight(chain3, l0, ld, chain, h, "dom") == pytest.approx(3.5)
     assert asd.separate_chain(chain3, l0, ld, h, "lay") is None
     # the fully anchored point is far outside: worst chain weighs 2 + 2 + 1
-    h_all = {1: 1.0, 2: 1.0, 3: 1.0}
+    h_all = np.ones(3)
     chain, violation = asd.separate_chain(chain3, l0, ld, h_all, "dom")
     assert violation == pytest.approx(2.0)
 
@@ -163,7 +163,7 @@ def test_separation_certifies_projection_membership(chain3):
     l0, ld = _matrices(chain3, None, None)
     model = asd.build_lay(chain3)
     res = solve_lp(model)
-    h = {j: res.x[f"h_{j}"] for j in chain3.graph.jobs}
+    h = np.array([res.x[f"h_{j}"] for j in chain3.graph.jobs])
     assert asd.separate_chain(chain3, l0, ld, h, "lay") is None
 
 
@@ -236,7 +236,6 @@ def test_greedy_heuristic_proposes_maximal_anchored_sets():
         )
         g, M = inst.graph, inst.deadline
         ld = asd.worst_case_longest_paths(g, inst.delta)
-        heur = _greedy_anchored_heuristic(inst, ld)
         models = []
         for which in ("std", "dom", "lay"):
             try:
@@ -244,14 +243,23 @@ def test_greedy_heuristic_proposes_maximal_anchored_sets():
             except asd.UnsupportedUncertainty:  # lay on a non-budgeted set
                 pass
         for _ in range(2):
-            cand = heur({f"h_{j}": float(rng.random()) for j in g.jobs})
-            assert cand is not None
-            assert sorted(cand) == sorted(f"h_{j}" for j in g.jobs)
+            h = rng.random(g.n)
+            sets = set()
             for model in models:
+                # h read and proposed at the model's h indices, every other
+                # entry ignored and proposed as 0
+                h_index = [model.var_index(f"h_{j}") for j in g.jobs]
+                x = np.full(model.n_vars, 0.5)
+                x[h_index] = h
+                cand = _greedy_anchored_heuristic(inst, ld, model)(x)
+                assert cand is not None and cand.shape == (model.n_vars,)
+                assert not np.any(np.delete(cand, h_index))
                 # the LP with the proposed binaries fixed completes it
-                fixes = {model.var_index(v): x for v, x in cand.items()}
+                fixes = {i: cand[i] for i in model.binaries()}
                 assert _lp(model, fixes)[0].status == "Optimal", (trial, model.name)
-            H = [j for j in g.jobs if cand[f"h_{j}"] == 1.0]
+                sets.add(tuple(cand[h_index]))
+            (chosen,) = sets  # the same set for every model
+            H = [j for j in g.jobs if chosen[j - 1] == 1.0]
             assert asd.is_anchored_set(g, ld, H, M)
             for j in set(g.jobs) - set(H):
                 assert not asd.is_anchored_set(g, ld, H + [j], M), (trial, j)
@@ -272,15 +280,20 @@ def test_greedy_heuristic_matches_from_scratch_rule():
             inst = asd.Instance(g, inst.delta, nominal - 1.0, inst.weights)
         M = inst.deadline
         ld = asd.worst_case_longest_paths(g, inst.delta)
-        heur = _greedy_anchored_heuristic(inst, ld)
+        model = asd.MipModel()  # h in reverse job order
+        for j in reversed(g.jobs):
+            model.add_binary(f"h_{j}")
+        h_index = [model.var_index(f"h_{j}") for j in g.jobs]
+        heur = _greedy_anchored_heuristic(inst, ld, model)
         for _ in range(2):
-            xlp = {
-                f"h_{j}": float(rng.choice([0.0, 0.5, 1.0, rng.random()]))
-                for j in g.jobs
-            }
+            h = np.array(
+                [float(rng.choice([0.0, 0.5, 1.0, rng.random()])) for j in g.jobs]
+            )
+            xlp = np.zeros(model.n_vars)
+            xlp[h_index] = h
             got = heur(xlp)
             order = sorted(
-                g.jobs, key=lambda j: (-xlp[f"h_{j}"], -inst.weights[j - 1], j)
+                g.jobs, key=lambda j: (-h[j - 1], -inst.weights[j - 1], j)
             )
             chosen = []
             for j in order:
@@ -291,7 +304,9 @@ def test_greedy_heuristic_matches_from_scratch_rule():
             except asd.InfeasibleAnchoredSet:
                 assert got is None, trial
                 continue
-            assert got == {f"h_{j}": float(j in chosen) for j in g.jobs}, trial
+            want = np.zeros(model.n_vars)
+            want[h_index] = [float(j in chosen) for j in g.jobs]
+            assert np.array_equal(got, want), trial
 
 
 def test_lay_holds_an_incumbent_at_time_zero():

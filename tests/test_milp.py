@@ -10,6 +10,12 @@ import anchorsched as asd
 from anchorsched.milp import MipModel, SolveParams, _lp, _simplex, _tableau
 
 from .conftest import five_job_graph
+from .oracles import max_violation
+
+
+def _vector(m, x):
+    """A named point as a vector in model variable order."""
+    return np.array([x[v.name] for v in m.variables])
 
 
 def test_model_validation():
@@ -110,6 +116,24 @@ def test_standard_form_appends_rows():
                 assert np.array_equal(a, b), trial
 
 
+def test_max_violation_matches_row_by_row():
+    # one vectorized check over the standard form: rows of every sense and
+    # points off the variable bounds; halves keep the arithmetic exact
+    rng = np.random.default_rng(37)
+    senses, violated = set(), 0
+    for trial in range(80):
+        m = _random_lp(rng, int(rng.integers(1, 6)), int(rng.integers(0, 7)),
+                       int(rng.integers(0, 3)))
+        senses |= {row.sense for row in m.rows}
+        for _ in range(3):
+            x = np.array([rng.integers(int(2 * v.lb) - 4, int(2 * v.ub) + 5) / 2.0
+                          for v in m.variables])
+            want = max_violation(m, {v.name: x[k] for k, v in enumerate(m.variables)})
+            assert m.max_violation(x) == want, trial
+            violated += want > 0
+    assert senses == {"<=", ">=", "="} and violated
+
+
 def _scipy_lp(scipy_opt, m, fixes):
     """The LP relaxation of ``m`` with ``fixes`` (index -> value) by HiGHS."""
     idx = {v.name: k for k, v in enumerate(m.variables)}
@@ -160,7 +184,7 @@ def test_solve_lp_matches_scipy():
             assert res.status == "Optimal", trial
             sign = -1.0 if m.maximize else 1.0
             assert res.value == pytest.approx(sign * ref.fun, abs=1e-6), trial
-            assert m.max_violation(res.x) <= 1e-6, trial
+            assert m.max_violation(_vector(m, res.x)) <= 1e-6, trial
             for k, val in fixes.items():
                 assert res.x[m.variables[k].name] == val, trial
         else:
@@ -181,7 +205,7 @@ def _assert_child(scipy_opt, m, fixes, start, trial):
         sign = -1.0 if m.maximize else 1.0
         assert warm.value == pytest.approx(sign * ref.fun, abs=1e-6), trial
         assert warm.value == pytest.approx(cold.value, abs=1e-6), trial
-        assert m.max_violation(warm.x) <= 1e-6, trial
+        assert m.max_violation(_vector(m, warm.x)) <= 1e-6, trial
     return warm
 
 
@@ -262,11 +286,11 @@ def test_root_lp_is_solved_once(monkeypatch):
     inst = asd.make_instance("SP_pZero_dUnif_G1", 20, 0)
     unfixed = []
 
-    def counting(model, fixes=None, start=None):
+    def counting(model, fixes, start=None):
         unfixed.append(not fixes)
-        return _lp(model, fixes, start)
+        return _simplex(model, fixes, start)
 
-    monkeypatch.setattr(milp, "_lp", counting)
+    monkeypatch.setattr(milp, "_simplex", counting)
     res, _ = asd.solve_formulation(inst, "dom")
     assert unfixed.count(True) == 1
     ref = asd.brute_force_optimum(inst)
@@ -280,19 +304,19 @@ def test_proposal_that_cannot_win_runs_no_lp(monkeypatch):
 
     inst = asd.make_instance("SP_pZero_dUnif_G1", 20, 0)
     model = asd.build_dom(inst)
-    empty = {f"h_{j}": 0.0 for j in inst.graph.jobs}
+    empty = np.zeros(model.n_vars)
     proposed, completed = [], []
 
     def heuristic(x):
         proposed.append(True)
         return empty
 
-    def counting(model, fixes=None, start=None):
-        if fixes and len(fixes) == len(empty) and not any(fixes.values()):
+    def counting(model, fixes, start=None):
+        if fixes and len(fixes) == inst.graph.n and not any(fixes.values()):
             completed.append(True)
-        return _lp(model, fixes, start)
+        return _simplex(model, fixes, start)
 
-    monkeypatch.setattr(milp, "_lp", counting)
+    monkeypatch.setattr(milp, "_simplex", counting)
     res = asd.solve_mip(model, heuristic=heuristic)
     # only the root proposal, made before any incumbent, is completed
     assert len(proposed) > 1 and len(completed) == 1
@@ -403,9 +427,9 @@ def test_cut_callback_reaches_the_cut_optimum():
         offered, seen = [], []
 
         def callback(x):
-            offered.append(dict(x))
-            if x["b0"] + x["b1"] > 1.0 + 1e-9:
-                seen.append(dict(x))
+            offered.append(x.copy())
+            if x[0] + x[1] > 1.0 + 1e-9:
+                seen.append(x.copy())
                 return [({"b0": 1.0, "b1": 1.0}, "<=", 1.0)]
             return []
 
@@ -416,8 +440,40 @@ def test_cut_callback_reaches_the_cut_optimum():
         assert res.x["b0"] + res.x["b1"] <= 1.0 + 1e-6
         if row_rhs is not None:
             # separated at the fractional root, not only on integral points
-            assert any(abs(v - round(v)) > 1e-6 for x in offered for v in x.values())
+            assert any(abs(v - round(v)) > 1e-6 for x in offered for v in x)
             assert res.root_value == pytest.approx(1.0)
+
+
+def test_callbacks_receive_vectors_in_variable_order():
+    # binaries and continuous variables interleaved, the root fractional:
+    # the callback and the heuristic first see the root LP point as a vector
+    # with each variable's value at its index
+    m = MipModel()
+    m.add_var("c0", 1.0, 1.0)
+    m.add_binary("b0")
+    m.add_var("c1", -2.0, 3.0)
+    m.add_binary("b1")
+    m.add_row({"b0": 2.0, "b1": 2.0, "c0": 1.0}, "<=", 4.0)
+    m.add_row({"c1": 1.0, "b1": -1.0}, "<=", 1.5)
+    m.set_objective({"b0": 3.0, "b1": 2.0, "c1": 1.0}, maximize=True)
+    root = asd.solve_lp(m).x
+    assert any(0.0 < root[name] < 1.0 for name in ("b0", "b1"))
+    offered, proposed = [], []
+
+    def callback(x):
+        offered.append(x.copy())
+        return []
+
+    def heuristic(x):
+        proposed.append(x.copy())
+        return None
+
+    res = asd.solve_mip(m, cut_callback=callback, heuristic=heuristic)
+    assert res.status == "Optimal"
+    for seen in (offered, proposed):
+        assert all(isinstance(x, np.ndarray) and x.shape == (m.n_vars,) for x in seen)
+        for v in m.variables:
+            assert seen[0][m.var_index(v.name)] == root[v.name]
 
 
 def test_time_limit_status():
