@@ -17,8 +17,9 @@ Workloads cover every accelerated kernel family through public entry points:
   master of ``dom_cuts``, separated at every node (nodes and pivots are
   printed under the table).
 
-Run ``PYTHONPATH=src python3 benchmarks/bench_kernels.py`` from the
-repository root.
+Run ``python3 benchmarks/bench_kernels.py``; the script puts the
+repository's ``src/`` first on ``sys.path`` itself, so no install and no
+``PYTHONPATH`` is needed.
 """
 
 from __future__ import annotations
@@ -29,6 +30,10 @@ import os
 import subprocess
 import sys
 import time
+
+# the checkout's package, for this process and for the worker (this file too)
+HERE = os.path.dirname(os.path.abspath(__file__))
+sys.path.insert(0, os.path.join(HERE, os.pardir, "src"))
 
 WORKLOADS = (
     ("box worst case n=240", "box"),

@@ -41,16 +41,12 @@ from .errors import (
 )
 from .exact import (
     SolutionReport,
-    _report_mip,
     preprocess_deadline,
     solve_auto,
     solve_brute,
+    solve_method,
 )
-from .formulations import (
-    build,
-    solve_dom_cuts,
-    solve_formulation,
-)
+from .formulations import build
 from .graph import EPS, require_schedule
 from .milp import SolveParams, export_lp_file
 from .instances import (
@@ -69,6 +65,15 @@ _EXIT_INFEASIBLE = 2
 _EXIT_UNSUPPORTED = 3
 _EXIT_PARSE = 4
 _EXIT_NUMERICAL = 5
+
+#: errors that mean a method does not support the instance (exit code 3)
+_UNSUPPORTED = (
+    UnsupportedUncertainty,
+    UnsupportedInstance,
+    InstanceTooLarge,
+    EnumerationTooLarge,
+    NotCritical,
+)
 
 #: the MIP formulations a method can name
 FORMULATIONS = ("std", "dom", "lay")
@@ -132,19 +137,15 @@ def _solve_one(
     chvatal: bool,
     cuts: bool,
 ) -> SolutionReport:
-    if method == "auto":  # solve_auto preprocesses the deadline itself
+    if method == "auto":
         return solve_auto(inst, params, chvatal=chvatal, cuts=cuts)
-    t0 = time.perf_counter()
-    work = preprocess_deadline(inst)
     if method == "brute":
-        return solve_brute(work)
+        return solve_brute(preprocess_deadline(inst))
+    if method not in FORMULATIONS:
+        raise ParseError(f"unknown method {method!r}")
     if method == "dom" and cuts:
-        res, sol, _ = solve_dom_cuts(work, params, chvatal=chvatal)
-        return _report_mip("dom_cuts", work, res, sol, time.perf_counter() - t0)
-    if method in FORMULATIONS:
-        res, sol = solve_formulation(work, method, params, chvatal=chvatal)
-        return _report_mip(method, work, res, sol, time.perf_counter() - t0)
-    raise ParseError(f"unknown method {method!r}")
+        method = "dom_cuts"
+    return solve_method(inst, method, params, chvatal, time.perf_counter())
 
 
 def _check_cuts(cuts: bool, methods) -> None:
@@ -239,15 +240,7 @@ def bench_task(
     params = SolveParams(time_limit=time_limit)
     try:
         report = _solve_one(inst, method, params, chvatal, cuts)
-    except (
-        UnsupportedUncertainty,
-        UnsupportedInstance,
-        InstanceTooLarge,
-        EnumerationTooLarge,
-        NotCritical,
-        DeadlineInfeasible,
-        NumericalFailure,
-    ) as exc:
+    except (*_UNSUPPORTED, DeadlineInfeasible, NumericalFailure) as exc:
         return BenchRecord(
             path=str(path), label=label, method=method,
             status=type(exc).__name__, solved=False, runtime=float("nan"),
@@ -548,13 +541,7 @@ def console_main(argv=None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_PARSE
-    except (
-        UnsupportedUncertainty,
-        UnsupportedInstance,
-        InstanceTooLarge,
-        EnumerationTooLarge,
-        NotCritical,
-    ) as exc:
+    except _UNSUPPORTED as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_UNSUPPORTED
     except (DeadlineInfeasible, InfeasibleAnchoredSet) as exc:

@@ -1,21 +1,23 @@
 """Polynomial special-case solvers and the automatic routing front end.
 
-Four exact routes, each keyed to structure that makes the anchoring problem
+Two exact routes, each keyed to structure that makes the anchoring problem
 easy:
 
 * ``solve_box`` — the uncertainty set has a componentwise greatest point, so
   worst-case path lengths come from a single deviated graph; the optimal
   anchored set is read off by comparing the earliest deviated schedule with
   the latest nominal one.
-* ``solve_u_anchrob`` — zero processing times and a uniform one-disruption
-  set; after scaling by the deviation magnitude, the LP relaxation of the
-  dominant-schedule model has integral vertices and one LP solve suffices.
 * ``solve_critical_one_disruption`` — critical graphs (every job on a
   longest path) under a uniform one-disruption set reduce affinely to the
-  zero-processing-time case after rounding the deadline down to the nearest
-  breakpoint.
-* ``solve_auto`` — tries the routes above in order and falls back to the
-  dominant-schedule MIP.
+  unit problem (zero processing times, unit disruption) after rounding the
+  deadline down to the nearest breakpoint; the LP relaxation of the unit
+  problem's dominant-schedule model has integral vertices, so one LP solve
+  suffices.  ``solve_u_anchrob`` is its zero-processing-time case: such a
+  graph is critical with a zero nominal schedule.
+
+``solve_auto`` tries the routes above in order and falls back to the
+dominant-schedule MIP.  ``solve_method`` is the one MIP route, for every
+formulation; ``solve_auto`` and the CLI both call it.
 
 ``tighten_deadline`` rounds the deadline down to the lattice
 L0(s,t) + k * dhat0; on critical graphs every achievable worst-case makespan
@@ -50,7 +52,8 @@ from .graph import (
     latest_schedule,
     single_source_longest,
 )
-from .milp import SolveParams, SolveResult, _gap, solve_lp
+from .formulations import build_dom, solve_dom_cuts, solve_formulation
+from .milp import SolveParams, SolveResult, solve_lp
 from .uncertainty import OneDisruption, greatest_point, one_disruption_value
 
 
@@ -90,54 +93,26 @@ def _uniform_disruption(inst: Instance) -> float:
     return float(d0)
 
 
+def _zero_processing(g: PrecedenceGraph) -> bool:
+    return float(np.abs(g.p).max()) <= EPS  # p[s] = p[t] = 0
+
+
 def solve_u_anchrob(inst: Instance) -> AnchoredSolution:
     """One-LP exact solver for zero processing times, uniform one disruption.
 
-    Scales the instance so the disruption has size one and the deadline is an
-    integer, solves the LP relaxation of the dominant-schedule model, and
-    reads the anchored set off the (provably integral) vertex.  Raises
-    NonIntegralVertex if the returned vertex is fractional beyond 1e-6,
-    UnsupportedInstance when processing times are nonzero or the disruption
-    size is zero.
+    A graph with zero processing times is critical with a zero nominal
+    schedule, so this is ``solve_critical_one_disruption``'s case, and its
+    one LP solves it.  Raises NonIntegralVertex if the returned vertex is
+    fractional beyond 1e-6, UnsupportedInstance when processing times are
+    nonzero or the disruption size is zero.
     """
-    g = inst.graph
-    if g.n and float(np.abs(g.p[1 : g.n + 1]).max()) > EPS:
+    if not _zero_processing(inst.graph):
         raise UnsupportedInstance("processing times must all be zero")
-    d0 = _uniform_disruption(inst)
-    if d0 <= EPS:
+    if _uniform_disruption(inst) <= EPS:
         raise UnsupportedInstance(
             "disruption size is zero; the greatest-point route applies"
         )
-    scale = int(np.floor(float(inst.deadline) / d0 + 1e-9))
-    scaled = Instance(
-        graph=PrecedenceGraph(g.n, g.arcs, np.zeros(g.n)),
-        delta=OneDisruption(1.0),
-        deadline=float(scale),
-        weights=inst.weights,
-        meta=dict(inst.meta),
-    )
-    from .formulations import build_dom
-
-    res = solve_lp(build_dom(scaled))
-    if res.status != "Optimal":
-        raise DeadlineInfeasible(f"scaled LP is {res.status}")
-    tol = 1e-6
-    values = []
-    for name, val in res.x.items():
-        frac = abs(val - round(val))
-        if frac > tol:
-            raise NonIntegralVertex(f"variable {name} = {val} at the LP vertex")
-        values.append((name, round(val)))
-    x = dict(values)
-    anchored = frozenset(j for j in g.jobs if x[f"h_{j}"] >= 1)
-    start = np.zeros(g.n + 2)
-    for v in range(g.n + 2):
-        lab = "s" if v == S else ("t" if v == g.t else str(v))
-        start[v] = d0 * x[f"z_{lab}"]
-    objective = float(sum(inst.weights[j - 1] for j in anchored))
-    return AnchoredSolution(
-        schedule=Schedule(start=start), anchored=anchored, objective=objective
-    )
+    return solve_critical_one_disruption(inst)
 
 
 def tighten_deadline(inst: Instance) -> float:
@@ -181,10 +156,13 @@ def solve_critical_one_disruption(inst: Instance) -> AnchoredSolution:
     """Exact solver for critical graphs under a uniform one-disruption set.
 
     On a critical graph all s-j paths have the same nominal length, so start
-    times split as z = z_nom + dhat0 * z' where z' solves the
-    zero-processing-time problem with unit disruption and the deadline
+    times split as z = z_nom + dhat0 * z' where z' solves the unit problem:
+    zero processing times, unit disruption and the deadline
     (M_tight - L0(s,t)) / dhat0.  The affine map is a bijection between the
-    two feasible regions, hence the anchored set transfers verbatim.
+    two feasible regions, hence the anchored set transfers verbatim.  The LP
+    relaxation of the unit problem's dominant-schedule model has integral
+    vertices, so one LP solve suffices; NonIntegralVertex is raised if the
+    returned vertex is fractional beyond 1e-6.
     """
     g = inst.graph
     if not is_critical(g):
@@ -198,21 +176,29 @@ def solve_critical_one_disruption(inst: Instance) -> AnchoredSolution:
         raise DeadlineInfeasible(
             f"deadline {inst.deadline} is below the minimum makespan {base}"
         )
-    scale = int(round((tightened - base) / d0))
-    reduced = Instance(
+    unit = Instance(
         graph=PrecedenceGraph(g.n, g.arcs, np.zeros(g.n)),
         delta=OneDisruption(1.0),
-        deadline=float(scale),
+        deadline=float(round((tightened - base) / d0)),
         weights=inst.weights,
         meta=dict(inst.meta),
     )
-    sub = solve_u_anchrob(reduced)
-    z_nom = earliest_schedule(g, g.p).start
-    start = z_nom + d0 * sub.schedule.start
+    res = solve_lp(build_dom(unit))
+    if res.status != "Optimal":
+        raise DeadlineInfeasible(f"unit LP is {res.status}")
+    vals = np.array(list(res.x.values()))
+    k = np.round(vals)
+    i = int(np.argmax(np.abs(vals - k)))
+    if abs(vals[i] - k[i]) > 1e-6:
+        name = list(res.x)[i]
+        raise NonIntegralVertex(f"variable {name} = {vals[i]} at the LP vertex")
+    # build_dom declares z_s, z_1..z_n, z_t, then h_1..h_n
+    anchored = frozenset(j for j in g.jobs if k[g.n + 1 + j] >= 1)
+    start = earliest_schedule(g, g.p).start + d0 * k[: g.n + 2]
     return AnchoredSolution(
         schedule=Schedule(start=start),
-        anchored=sub.anchored,
-        objective=sub.objective,
+        anchored=anchored,
+        objective=inst.weight_of(anchored),
     )
 
 
@@ -254,34 +240,43 @@ def _report_exact(method: str, sol: AnchoredSolution, runtime: float) -> Solutio
 
 
 def _report_mip(
-    method: str, inst: Instance, res: SolveResult, sol, runtime: float
+    method: str, res: SolveResult, sol: AnchoredSolution | None, runtime: float
 ) -> SolutionReport:
     """Report of a MIP route; ``runtime`` covers LD, preprocessing and build too.
 
-    The objective is the weight of the decoded set, not the LP value of the
-    incumbent point.  An Optimal bound equals it; with integral weights any
-    other bound is rounded down as the branch and bound rounds node bounds.
+    ``solve_mip`` decides the value and the bound: the value is the weight
+    of the incumbent's set, and the bound is rounded as its node bounds
+    are.  The report copies the bound and the gap and takes the objective
+    from the decoded solution.
     """
-    objective, bound, gap = res.value, res.bound, res.gap
-    if sol is not None:
-        objective = sol.objective
-        w = inst.weights
-        if res.status == "Optimal":
-            bound = objective
-        elif np.all(np.abs(w - np.round(w)) <= 1e-9):
-            bound = float(np.floor(bound + 1e-6))
-        gap = _gap(bound, objective)
     return SolutionReport(
         method=method,
         status=res.status,
-        objective=objective,
-        bound=bound,
-        gap=gap,
+        objective=res.value if sol is None else sol.objective,
+        bound=res.bound,
+        gap=res.gap,
         nodes=res.nodes,
         runtime=runtime,
         solution=sol,
         root_value=res.root_value,
     )
+
+
+def solve_method(
+    inst: Instance, method: str, params: SolveParams | None, chvatal: bool, t0: float
+) -> SolutionReport:
+    """The MIP route of one method: std, dom, lay or dom_cuts.
+
+    Preprocesses the deadline, solves the formulation (``dom_cuts``: the
+    chain-cut master) and reports with the runtime counted from ``t0``, the
+    caller's start time.
+    """
+    work = preprocess_deadline(inst)
+    if method == "dom_cuts":
+        res, sol, _ = solve_dom_cuts(work, params, chvatal=chvatal)
+    else:
+        res, sol = solve_formulation(work, method, params, chvatal=chvatal)
+    return _report_mip(method, res, sol, time.perf_counter() - t0)
 
 
 def solve_auto(
@@ -292,43 +287,27 @@ def solve_auto(
 ) -> SolutionReport:
     """Route an instance to the cheapest exact method that fits it.
 
-    Order: greatest-point sets go to ``solve_box``; zero processing times
-    with a uniform disruption go to the one-LP solver; critical graphs with
-    a uniform disruption go through the affine reduction; everything else is
-    solved as the dominant-schedule MIP (after the safe deadline
-    preprocessing), optionally with rounded bounds or chain cuts.
+    Order: greatest-point sets go to ``solve_box``; critical graphs with a
+    uniform disruption go through the affine reduction, whose one LP is
+    exact (reported as ``u_lp`` when every processing time is zero, the
+    reduction's zero-schedule case, else ``critical_reduction``); everything
+    else, and a reduction whose LP vertex is fractional, is solved by
+    ``solve_method`` as the dominant-schedule MIP, optionally with rounded
+    bounds or chain cuts.
     """
-    from .formulations import solve_dom_cuts, solve_formulation
-
     t0 = time.perf_counter()
     if greatest_point(inst.delta) is not None:
         sol = solve_box(inst)
         return _report_exact("box", sol, time.perf_counter() - t0)
     d0 = one_disruption_value(inst.delta, inst.graph.n)
-    if d0 is not None and d0 > EPS:
-        g = inst.graph
-        if g.n == 0 or float(np.abs(g.p[1 : g.n + 1]).max()) <= EPS:
-            try:
-                sol = solve_u_anchrob(inst)
-                return _report_exact("u_lp", sol, time.perf_counter() - t0)
-            except NonIntegralVertex:
-                pass
-        elif is_critical(g):
-            try:
-                sol = solve_critical_one_disruption(inst)
-                return _report_exact(
-                    "critical_reduction", sol, time.perf_counter() - t0
-                )
-            except NonIntegralVertex:
-                pass
-    work = preprocess_deadline(inst)
-    if cuts:
-        res, sol, _ = solve_dom_cuts(work, params, chvatal=chvatal)
-    else:
-        res, sol = solve_formulation(work, "dom", params, chvatal=chvatal)
-    return _report_mip(
-        "dom_cuts" if cuts else "dom", work, res, sol, time.perf_counter() - t0
-    )
+    if d0 is not None and d0 > EPS and is_critical(inst.graph):
+        route = "u_lp" if _zero_processing(inst.graph) else "critical_reduction"
+        try:
+            sol = solve_critical_one_disruption(inst)
+            return _report_exact(route, sol, time.perf_counter() - t0)
+        except NonIntegralVertex:
+            pass
+    return solve_method(inst, "dom_cuts" if cuts else "dom", params, chvatal, t0)
 
 
 def solve_brute(inst: Instance) -> SolutionReport:
@@ -345,6 +324,7 @@ __all__ = [
     "solve_box",
     "solve_brute",
     "solve_critical_one_disruption",
+    "solve_method",
     "solve_u_anchrob",
     "tighten_deadline",
 ]

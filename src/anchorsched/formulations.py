@@ -554,7 +554,11 @@ def solve_formulation(
 
 @dataclass
 class CutLoopStats:
-    """Root separation of the h-space solve: chain rows added, LP re-solves."""
+    """Root separation of the h-space solve: chain rows added, LP re-solves.
+
+    The callback adds one chain per re-solve, so ``root_rounds == root_cuts``;
+    perfbench reads both fields.
+    """
 
     root_cuts: int = 0
     root_rounds: int = 0

@@ -417,6 +417,12 @@ def solve_mip(
     offered to the callback and the row check; a point the callback cuts off
     is dropped.  When the objective lies on the binaries, a proposal that
     does not beat the incumbent is skipped before that LP.
+
+    This function decides the returned value and bound.  When the objective
+    lies on the binaries, the value is that of the incumbent's rounded
+    binaries, not of its LP point, and the bound is the best open bound
+    (the value once proved), rounded toward the value as node bounds are
+    when the objective is integral.
     """
     params = params or SolveParams()
     t0 = time.perf_counter()
@@ -495,7 +501,7 @@ def solve_mip(
     ]
 
     status = "Optimal"
-    bound_final: float | None = None
+    open_bound = None  # the best bound left open when the search stops
     while heap:
         if nodes and elapsed() > params.time_limit:  # the root always runs
             status = "TimeLimit"
@@ -503,7 +509,7 @@ def solve_mip(
         node_bound, _, fixes, start = heapq.heappop(heap)
         if inc_x is not None and _gap(node_bound, inc_val) <= GAP_TOL:
             # every open node is bounded by this one (best-bound order)
-            bound_final = min(node_bound, inc_val)
+            open_bound = node_bound
             break
         x, val, start = solve_node(fixes, start)
         nodes += 1
@@ -540,12 +546,15 @@ def solve_mip(
             "TimeLimit" if status == "TimeLimit" else "Infeasible", None, np.nan,
             np.nan, np.nan, nodes, elapsed(), iterations, root_value,
         )
-    if bound_final is None:
-        # stopped early, heap[0] holding the best open bound, or proved
-        bound_final = min(heap[0][0], inc_val) if heap else inc_val
+    if open_bound is None:  # stopped early with heap[0] the best, or proved
+        open_bound = heap[0][0] if heap else np.inf
+    value = inc_val
+    if obj_on_binaries:  # the set's weight, free of the LP point's rounding
+        value = float(cost[binaries] @ np.round(inc_x[binaries]))
+    bound = cap(min(open_bound, value))
     return SolveResult(
-        status, _named(model, inc_x), sign * inc_val, sign * bound_final,
-        _gap(bound_final, inc_val), nodes, elapsed(), iterations, root_value,
+        status, _named(model, inc_x), sign * value, sign * bound,
+        _gap(bound, value), nodes, elapsed(), iterations, root_value,
     )
 
 

@@ -275,7 +275,7 @@ def test_numerical_failure_is_a_status_and_an_exit_code(
     def stall(*args, **kwargs):
         raise asd.NumericalFailure("pivot limit 200000 hit in phase 1")
 
-    monkeypatch.setattr(cli, "solve_formulation", stall)
+    monkeypatch.setattr(cli, "solve_method", stall)
     monkeypatch.setattr(cli, "solve_auto", stall)
     d = tmp_path / "stall"
     d.mkdir()

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import anchorsched as asd
+from anchorsched.exact import _report_mip
 
 from .oracles import random_dag
 
@@ -127,6 +128,20 @@ def test_solve_u_anchrob_matches_brute_force():
         assert asd.is_x_anchored(
             inst.graph, ld, sol.schedule.start, sorted(sol.anchored)
         )
+        _assert_same_as_critical(inst, sol)
+
+
+def _assert_same_as_critical(inst, sol):
+    # zero processing times are the critical reduction's zero-schedule case
+    crit = asd.solve_critical_one_disruption(inst)
+    assert crit.anchored == sol.anchored and crit.objective == sol.objective
+    assert crit.schedule.start.tobytes() == sol.schedule.start.tobytes()
+
+
+@pytest.mark.parametrize("family", ["ER", "SP"])
+def test_solve_u_anchrob_is_the_critical_reduction(family):
+    inst = asd.make_instance(f"{family}_pZero_dUnif_G1", 20, 0)
+    _assert_same_as_critical(inst, asd.solve_u_anchrob(inst))
 
 
 def test_solve_u_anchrob_rejections():
@@ -262,6 +277,22 @@ def test_solve_auto_routes(fig_box, fig_budget):
     assert asd.solve_auto(wide).method == "box"
 
 
+@pytest.mark.parametrize(
+    "label, route",
+    [
+        ("ER_pZero_dUnif_G1", "u_lp"),
+        ("SP_pZero_dUnif_G1", "u_lp"),
+        ("SP_pQCri_dUnif_G1", "critical_reduction"),
+        ("ER_pQCri_dUnif_G1", "dom"),
+        ("ER_pRand_dUnif_G1", "dom"),
+        ("SP_pRand_dUnif_G1", "dom"),
+    ],
+)
+def test_solve_auto_routes_generated_classes(label, route):
+    rep = asd.solve_auto(asd.make_instance(label, 20, 0))
+    assert rep.method == route and rep.status == "Optimal"
+
+
 def test_solve_auto_agrees_with_brute_everywhere():
     rng = np.random.default_rng(79)
     for _ in range(15):
@@ -319,13 +350,17 @@ def test_solve_auto_on_former_simplex_stalls(label):
 
 def test_mip_report_objective_is_the_set_weight():
     # the incumbent's LP value here is 40.000000000000014 on the dom route;
-    # the report carries the weight of the decoded set, and so does the bound
-    inst = asd.make_instance("ER_pQCri_dRand_G2", 60, 0)
-    for cuts in (False, True):
-        rep = asd.solve_auto(inst, cuts=cuts)
+    # solve_mip returns the weight of its set, and so does the bound
+    work = asd.preprocess_deadline(asd.make_instance("ER_pQCri_dRand_G2", 60, 0))
+    runs = [("dom", asd.solve_formulation(work, "dom")),
+            ("dom_cuts", asd.solve_dom_cuts(work)[:2])]
+    for method, (res, sol) in runs:
+        assert res.value == res.bound == sol.objective == 40.0
+        rep = _report_mip(method, res, sol, 0.0)
         assert rep.status == "Optimal" and rep.gap == 0.0
         assert rep.objective == rep.bound == rep.solution.objective == 40.0
     # stopped after the root: the bound is rounded down to an integer
-    rep = asd.solve_auto(inst, asd.SolveParams(time_limit=0.0))
+    res, sol = asd.solve_formulation(work, "dom", asd.SolveParams(time_limit=0.0))
+    rep = _report_mip("dom", res, sol, 0.0)
     assert rep.status == "TimeLimit" and rep.objective == rep.solution.objective
     assert rep.bound == np.floor(rep.bound) >= rep.objective
