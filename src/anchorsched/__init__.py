@@ -61,6 +61,7 @@ from .exact import (
     tighten_deadline,
 )
 from .formulations import (
+    add_chvatal_rows,
     build_dom,
     build_lay,
     build_std,
@@ -161,6 +162,7 @@ __all__ = [
     "SolveResult",
     "UnsupportedInstance",
     "UnsupportedUncertainty",
+    "add_chvatal_rows",
     "all_pairs_longest",
     "brute_force_optimum",
     "budgeted_dp",

@@ -134,18 +134,17 @@ def _solve_one(
     inst: Instance,
     method: str,
     params: SolveParams,
-    chvatal: bool,
     cuts: bool,
 ) -> SolutionReport:
     if method == "auto":
-        return solve_auto(inst, params, chvatal=chvatal, cuts=cuts)
+        return solve_auto(inst, params, cuts=cuts)
     if method == "brute":
         return solve_brute(preprocess_deadline(inst))
     if method not in FORMULATIONS:
         raise ParseError(f"unknown method {method!r}")
     if method == "dom" and cuts:
         method = "dom_cuts"
-    return solve_method(inst, method, params, chvatal, time.perf_counter())
+    return solve_method(inst, method, params, time.perf_counter())
 
 
 def _check_cuts(cuts: bool, methods) -> None:
@@ -191,7 +190,7 @@ def cmd_solve(args) -> int:
     if args.export_lp:
         which = args.method if args.method in FORMULATIONS else "dom"
         export_lp_file(build(preprocess_deadline(inst), which), args.export_lp)
-    report = _solve_one(inst, args.method, params, args.chvatal, args.cuts)
+    report = _solve_one(inst, args.method, params, args.cuts)
     data = _report_to_dict(report)
     if args.out:
         Path(args.out).write_text(
@@ -231,7 +230,6 @@ def bench_task(
     path: str,
     method: str,
     time_limit: float,
-    chvatal: bool = False,
     cuts: bool = False,
 ) -> BenchRecord:
     """Solve one instance with one method and compute its relaxation gap."""
@@ -239,7 +237,7 @@ def bench_task(
     label = str(inst.meta.get("label", Path(path).stem))
     params = SolveParams(time_limit=time_limit)
     try:
-        report = _solve_one(inst, method, params, chvatal, cuts)
+        report = _solve_one(inst, method, params, cuts)
     except (*_UNSUPPORTED, DeadlineInfeasible, NumericalFailure) as exc:
         return BenchRecord(
             path=str(path), label=label, method=method,
@@ -266,7 +264,6 @@ def bench_paths(
     paths,
     methods,
     time_limit: float = 300.0,
-    chvatal: bool = False,
     cuts: bool = False,
     jobs: int = 1,
 ) -> list[BenchRecord]:
@@ -276,7 +273,7 @@ def bench_paths(
     regardless of worker scheduling.
     """
     tasks = [
-        (str(p), m, time_limit, chvatal, cuts)
+        (str(p), m, time_limit, cuts)
         for p in sorted(str(p) for p in paths)
         for m in methods
     ]
@@ -374,9 +371,7 @@ def cmd_bench(args) -> int:
         if m not in METHODS:
             raise ParseError(f"unknown method {m!r}")
     _check_cuts(args.cuts, methods)
-    records = bench_paths(
-        paths, methods, args.time_limit, args.chvatal, args.cuts, args.jobs
-    )
+    records = bench_paths(paths, methods, args.time_limit, args.cuts, args.jobs)
     rows = aggregate_bench(records)
     text = bench_csv(rows)
     if args.out:
@@ -490,8 +485,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--method", default="auto",
                          choices=METHODS)
     p_solve.add_argument("--time-limit", type=float, default=300.0)
-    p_solve.add_argument("--chvatal", action="store_true",
-                         help="add rounded single-job bounds")
     p_solve.add_argument("--cuts", action="store_true",
                          help="solve in the indicator space with chain cuts")
     p_solve.add_argument("--export-lp", metavar="PATH",
@@ -507,7 +500,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--methods", default="dom",
                          help=f"comma-separated subset of {','.join(METHODS)}")
     p_bench.add_argument("--time-limit", type=float, default=300.0)
-    p_bench.add_argument("--chvatal", action="store_true")
     p_bench.add_argument("--cuts", action="store_true")
     p_bench.add_argument("--jobs", type=int, default=1,
                          help="worker processes (default 1)")

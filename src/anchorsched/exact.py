@@ -263,7 +263,7 @@ def _report_mip(
 
 
 def solve_method(
-    inst: Instance, method: str, params: SolveParams | None, chvatal: bool, t0: float
+    inst: Instance, method: str, params: SolveParams | None, t0: float
 ) -> SolutionReport:
     """The MIP route of one method: std, dom, lay or dom_cuts.
 
@@ -273,16 +273,15 @@ def solve_method(
     """
     work = preprocess_deadline(inst)
     if method == "dom_cuts":
-        res, sol, _ = solve_dom_cuts(work, params, chvatal=chvatal)
+        res, sol, _ = solve_dom_cuts(work, params)
     else:
-        res, sol = solve_formulation(work, method, params, chvatal=chvatal)
+        res, sol = solve_formulation(work, method, params)
     return _report_mip(method, res, sol, time.perf_counter() - t0)
 
 
 def solve_auto(
     inst: Instance,
     params: SolveParams | None = None,
-    chvatal: bool = False,
     cuts: bool = False,
 ) -> SolutionReport:
     """Route an instance to the cheapest exact method that fits it.
@@ -292,8 +291,8 @@ def solve_auto(
     exact (reported as ``u_lp`` when every processing time is zero, the
     reduction's zero-schedule case, else ``critical_reduction``); everything
     else, and a reduction whose LP vertex is fractional, is solved by
-    ``solve_method`` as the dominant-schedule MIP, optionally with rounded
-    bounds or chain cuts.
+    ``solve_method`` as the dominant-schedule MIP, or with ``cuts`` as its
+    chain-cut master (``dom_cuts``).
     """
     t0 = time.perf_counter()
     if greatest_point(inst.delta) is not None:
@@ -307,7 +306,7 @@ def solve_auto(
             return _report_exact(route, sol, time.perf_counter() - t0)
         except NonIntegralVertex:
             pass
-    return solve_method(inst, "dom_cuts" if cuts else "dom", params, chvatal, t0)
+    return solve_method(inst, "dom_cuts" if cuts else "dom", params, t0)
 
 
 def solve_brute(inst: Instance) -> SolutionReport:

@@ -201,23 +201,18 @@ def _deviated_paths(g, dhat):
     return dist_dev, dist_dev - single_source_longest(g, S, g.p)
 
 
-def _layer_data(inst: Instance, dhat, gamma):
+def _layer_data(inst: Instance):
     """Deviations and the layered model's budget, capped at the budget height."""
     d = normalize(inst.delta, inst.graph.n)
-    if dhat is None or gamma is None:
-        if not isinstance(d, Budgeted):
-            raise UnsupportedUncertainty(
-                "layered model requires a budgeted uncertainty set"
-            )
-        dhat = np.asarray(d.dhat, dtype=float)
-        gamma = int(d.gamma)
-    else:
-        dhat = np.asarray(dhat, dtype=float)
-        gamma = int(gamma)
-    return dhat, min(gamma, budget_height(inst.graph, dhat))
+    if not isinstance(d, Budgeted):
+        raise UnsupportedUncertainty(
+            "layered model requires a budgeted uncertainty set"
+        )
+    dhat = np.asarray(d.dhat, dtype=float)
+    return dhat, min(int(d.gamma), budget_height(inst.graph, dhat))
 
 
-def build_lay(inst: Instance, dhat=None, gamma: int | None = None) -> MipModel:
+def build_lay(inst: Instance) -> MipModel:
     """Layered model for budgeted sets, one schedule copy per budget level.
 
     The levels are 0..min(Γ, H), where H = ``budget_height(g, dhat)``: no
@@ -232,7 +227,7 @@ def build_lay(inst: Instance, dhat=None, gamma: int | None = None) -> MipModel:
     full-deviation slack D_j.  Declared upper bounds are a retraction bound
     (any feasible point can lower its copies below it), so they cut nothing.
     """
-    dhat, gamma = _layer_data(inst, dhat, gamma)
+    dhat, gamma = _layer_data(inst)
     g = inst.graph
     M = float(inst.deadline)
     dev = _dev_full(g, dhat)
@@ -287,19 +282,16 @@ _BUILDERS = {
 }
 
 
-def _build(inst: Instance, which: str, chvatal: bool = False):
-    """Model ``which`` plus the rounded bounds, and LD when anything read it."""
+def _build(inst: Instance, which: str):
+    """Model ``which``, and LD when its builder read it (else None)."""
     try:
         builder, reads_l0, reads_ld = _BUILDERS[which]
     except KeyError:
         raise ValueError(f"unknown formulation {which!r}") from None
     g = inst.graph
-    l0 = all_pairs_longest(g, g.p) if reads_l0 or chvatal else None
-    ld = worst_case_longest_paths(g, inst.delta) if reads_ld or chvatal else None
-    model = builder(inst, l0, ld)
-    if chvatal:
-        add_chvatal_rows(model, inst, l0, ld)
-    return model, ld
+    l0 = all_pairs_longest(g, g.p) if reads_l0 else None
+    ld = worst_case_longest_paths(g, inst.delta) if reads_ld else None
+    return builder(inst, l0, ld), ld
 
 
 def build(inst: Instance, which: str) -> MipModel:
@@ -340,7 +332,11 @@ def add_chvatal_rows(
     l0: LongestPathMatrix,
     ld: LongestPathMatrix,
 ) -> int:
-    """Add the restrictive rounded bounds (h_j <= 0) to a model; returns count."""
+    """Add the restrictive rounded bounds (h_j <= 0) to any built model.
+
+    No solve route adds them; every formulation is exact without them.
+    Returns the number of rows added.
+    """
     added = 0
     for j in inst.graph.jobs:
         b = chvatal_bound(inst, l0, ld, j)
@@ -373,7 +369,7 @@ def _hop_weights(inst: Instance, l0, ld, h: np.ndarray, which: str):
         if which == "dom":
             w = base + (dev - base) * hv
         else:
-            D = _deviated_paths(g, _layer_data(inst, None, None)[0])[1]
+            D = _deviated_paths(g, _layer_data(inst)[0])[1]
             w = dev - D * (1.0 - hv)
     w[:, g.t] = base[:, g.t]
     w[~ld.reach[: g.t]] = -np.inf
@@ -386,7 +382,6 @@ def separate_chain(
     ld: LongestPathMatrix,
     h: np.ndarray,
     which: str = "dom",
-    tol: float = SEP_TOL,
 ):
     """Most violated chain inequality at a (fractional) h, or None.
 
@@ -412,7 +407,7 @@ def separate_chain(
         u = int(np.argmax(cand))
         best[v], parent[v] = cand[u], u
     violation = float(best[g.t]) - float(inst.deadline)
-    if violation <= tol:
+    if violation <= SEP_TOL:
         return None
     chain = []
     v = g.t
@@ -536,7 +531,6 @@ def solve_formulation(
     inst: Instance,
     which: str = "dom",
     params: SolveParams | None = None,
-    chvatal: bool = False,
 ) -> tuple[SolveResult, AnchoredSolution | None]:
     """Build one formulation, solve it as a MIP, and decode the solution.
 
@@ -544,7 +538,7 @@ def solve_formulation(
     baseline of its anchored set, not to the LP's schedule variables.
     """
     which = which.lower()
-    model, ld = _build(inst, which, chvatal)
+    model, ld = _build(inst, which)
     if ld is None:  # the layered model reads no LD, its heuristic does
         ld = worst_case_longest_paths(inst.graph, inst.delta)
     heuristic = _greedy_anchored_heuristic(inst, ld, model)
@@ -567,7 +561,6 @@ class CutLoopStats:
 def solve_dom_cuts(
     inst: Instance,
     params: SolveParams | None = None,
-    chvatal: bool = False,
 ) -> tuple[SolveResult, AnchoredSolution | None, CutLoopStats]:
     """Solve via chain cuts on an h-only master instead of enumerated pairs.
 
@@ -585,8 +578,6 @@ def solve_dom_cuts(
     for j in g.jobs:
         master.add_binary(f"h_{j}")
     _objective(master, inst)
-    if chvatal:
-        add_chvatal_rows(master, inst, l0, ld)
     stats = CutLoopStats()
     at_root = True
 
@@ -610,10 +601,10 @@ def solve_dom_cuts(
     return res, _decode(inst, ld, res), stats
 
 
-def lp_bound(inst: Instance, which: str = "dom", chvatal: bool = False) -> float:
+def lp_bound(inst: Instance, which: str = "dom") -> float:
     """Optimal value of the LP relaxation of one formulation."""
     which = which.lower()
-    model, _ = _build(inst, which, chvatal)
+    model, _ = _build(inst, which)
     res = solve_lp(model)
     if res.status != "Optimal":
         raise DeadlineInfeasible(f"LP relaxation of {which} is {res.status}")
@@ -629,7 +620,7 @@ def dom_lay_premise(inst: Instance) -> bool:
     one-disruption sets.
     """
     g = inst.graph
-    D = _deviated_paths(g, _layer_data(inst, None, None)[0])[1]
+    D = _deviated_paths(g, _layer_data(inst)[0])[1]
     l0, ld = _matrices(inst, None, None)
     for i, j in l0.pairs():
         if j == g.t or i == g.t:

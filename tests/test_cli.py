@@ -322,9 +322,8 @@ def test_mip_runtime_counts_setup(monkeypatch, fig_budget):
     params = asd.SolveParams(time_limit=30.0)
     reports = [asd.solve_auto(fig_budget, params),
                asd.solve_auto(fig_budget, params, cuts=True)]
-    for method, chvatal, cuts in (("std", False, False), ("dom", False, False),
-                                  ("dom", False, True), ("lay", True, False)):
-        reports.append(cli._solve_one(fig_budget, method, params, chvatal, cuts))
+    for method, cuts in (("std", False), ("dom", False), ("dom", True), ("lay", False)):
+        reports.append(cli._solve_one(fig_budget, method, params, cuts))
     assert [r.method for r in reports] == [
         "dom", "dom_cuts", "std", "dom", "dom_cuts", "lay"
     ]

@@ -5,7 +5,6 @@ import pytest
 
 import anchorsched as asd
 from anchorsched.formulations import (
-    add_chvatal_rows,
     chain_cut_row,
     chain_weight,
     _build,
@@ -106,7 +105,7 @@ def test_chvatal_bound_golden(fig_box):
     # job 1 lies on a slack path: bound is not restrictive
     assert asd.chvatal_bound(fig_box, l0, ld, 1) in (1, None)
     m = asd.build_dom(fig_box)
-    added = add_chvatal_rows(m, fig_box, l0, ld)
+    added = asd.add_chvatal_rows(m, fig_box, l0, ld)
     assert added >= 1
     res = asd.solve_mip(m)
     assert res.status == "Optimal" and res.value == pytest.approx(4.0)
@@ -134,11 +133,13 @@ def test_chvatal_bounds_are_valid():
             b = asd.chvatal_bound(inst, l0, ld, j)
             if b == 0:
                 assert j not in sol.anchored  # bound excludes j at optimum
-        # adding the rows must not cut the optimum
-        m = asd.build_dom(inst)
-        add_chvatal_rows(m, inst, l0, ld)
-        res = asd.solve_mip(m)
-        assert res.value == pytest.approx(sol.objective, abs=1e-6)
+        # adding the rows to any formulation must not cut the optimum
+        for build in (asd.build_std, asd.build_dom, asd.build_lay):
+            m = build(inst)
+            asd.add_chvatal_rows(m, inst, l0, ld)
+            res = asd.solve_mip(m)
+            assert res.status == "Optimal", m.name
+            assert res.value == pytest.approx(sol.objective, abs=1e-6), m.name
 
 
 def test_separate_chain_golden(chain3):
@@ -321,11 +322,6 @@ def test_lay_holds_an_incumbent_at_time_zero():
     _assert_decoded(inst, ld, sol)
 
 
-def test_chvatal_with_cuts(fig_budget):
-    res, sol, stats = asd.solve_dom_cuts(fig_budget, chvatal=True)
-    assert res.status == "Optimal" and res.value == pytest.approx(4.0)
-
-
 def test_pair_row_reduction_preserves_polytope(monkeypatch):
     # skipping implied pair rows must not move the LP bound or the optimum
     import anchorsched.formulations as fm
@@ -427,7 +423,6 @@ def test_lay_caps_budget_at_path_height(monkeypatch):
         )
         capped = asd.build_lay(inst)
         assert _lay_levels(capped) == min(gamma, H) + 1
-        assert _lay_levels(asd.build_lay(inst, dhat, gamma)) == min(gamma, H) + 1
         with monkeypatch.context() as mp:
             mp.setattr(fm, "budget_height", lambda g, dhat: g.n)
             uncapped = asd.build_lay(inst)
