@@ -25,6 +25,12 @@ hop weights must not exceed the deadline.  ``separate_chain`` finds the most
 violated chain by a longest-path sweep, which powers both a branch-and-cut
 solver in the h-space (``solve_dom_cuts``, separating at every node) and
 projection membership tests.
+
+Every MIP route presolves: a job whose singleton fails the anchored-set
+test, LD(s, j) + L0(j, t) > M, lies in no feasible set, so h_j = 0 is
+passed to ``solve_mip`` as a fixing (``_unanchorable``).  The fixings go to
+the solver only; the models that ``build`` returns, and so ``lp_bound`` and
+the root value, stay each formulation's own.
 """
 
 from __future__ import annotations
@@ -334,7 +340,9 @@ def add_chvatal_rows(
 ) -> int:
     """Add the restrictive rounded bounds (h_j <= 0) to any built model.
 
-    No solve route adds them; every formulation is exact without them.
+    Every formulation is exact without them.  The solve routes fix h_j = 0
+    for the jobs that cannot be anchored alone (``_unanchorable``) in the
+    solver, not as rows, so a built model's relaxation stays its own.
     Returns the number of rows added.
     """
     added = 0
@@ -527,6 +535,23 @@ def _greedy_anchored_heuristic(inst: Instance, ld, model: MipModel):
     return heur
 
 
+def _unanchorable(inst: Instance, ld, model: MipModel) -> dict[int, float]:
+    """Presolve fixings {index of h_j in ``model``: 0} for unanchorable jobs.
+
+    Job j is fixed when max(0, LD(s, j)) + L0(j, t) > M + EPS: its dominant
+    start alone leaves too little room before the deadline, so
+    ``is_anchored_set`` rejects {j} and every set holding it.  This is that
+    test on the singleton (and the greedy's skip test), so no job the
+    oracle accepts is fixed.  Only the LD row of s and the graph's cached
+    L0(., t) are read.
+    """
+    g = inst.graph
+    jobs = np.arange(1, g.n + 1)
+    start = np.maximum(0.0, ld.values[S, jobs])
+    late = start + g.to_sink()[jobs] > float(inst.deadline) + EPS
+    return {model.var_index(f"h_{j}"): 0.0 for j in jobs[late].tolist()}
+
+
 def solve_formulation(
     inst: Instance,
     which: str = "dom",
@@ -542,7 +567,9 @@ def solve_formulation(
     if ld is None:  # the layered model reads no LD, its heuristic does
         ld = worst_case_longest_paths(inst.graph, inst.delta)
     heuristic = _greedy_anchored_heuristic(inst, ld, model)
-    res = solve_mip(model, params, heuristic=heuristic)
+    res = solve_mip(
+        model, params, heuristic=heuristic, fixed=_unanchorable(inst, ld, model)
+    )
     return res, _decode(inst, ld, res)
 
 
@@ -597,7 +624,10 @@ def solve_dom_cuts(
         at_root = False
         return greedy(x)
 
-    res = solve_mip(master, params, cut_callback=callback, heuristic=heuristic)
+    res = solve_mip(
+        master, params, cut_callback=callback, heuristic=heuristic,
+        fixed=_unanchorable(inst, ld, master),
+    )
     return res, _decode(inst, ld, res), stats
 
 

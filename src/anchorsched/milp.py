@@ -14,26 +14,30 @@ limit raises NumericalFailure.  The MIP solver is best-bound branch and cut
 on binary variables with most-fractional branching: an optional cut
 callback sees the LP point of every node, the root first, fractional or not,
 and the node is re-solved with the globally valid rows it returns until it
-returns none (Padberg & Rinaldi, *SIAM Review* 33(1), 1991).  One incumbent
-path serves primal heuristics.  A heuristic (and LP rounding, the one built
-in) proposes values for the binaries only; the LP with those binaries fixed
-completes the continuous part, and its point is vetted like any other
-candidate.  When the objective lies on the binaries, a proposal that does
-not beat the incumbent is skipped before that LP.  Branch and cut works on
-the simplex's own vectors, one value per variable in model order, and
-minimizes (the negated costs of a maximized model): callbacks and
-heuristics see those vectors, and only the returned incumbent is named.
+returns none (Padberg & Rinaldi, *SIAM Review* 33(1), 1991).  A caller's
+presolve may pass fixings, values that every feasible point takes; they
+bind from the separated root on, so the root value stays the model's own
+relaxation, and every node inherits them (Savelsbergh, *ORSA J. Computing*
+6(4), 1994).  One incumbent path serves primal heuristics.  A heuristic (and
+LP rounding, the one built in) proposes values for the binaries only; the
+LP with those binaries fixed completes the continuous part, and its point
+is vetted like any other candidate.  When the objective lies on the
+binaries, a proposal that does not beat the incumbent is skipped before
+that LP.  Branch and cut works on the simplex's own vectors, one value per
+variable in model order, and minimizes (the negated costs of a maximized
+model): callbacks and heuristics see those vectors, and only the returned
+incumbent is named.
 
 Only the root LP starts cold.  Every other LP starts from the final basis
 and at-upper flags of an earlier one: a node from its parent's (both
 children share the pair), the completion of a proposal from the basis of
-the node that proposed it, and a re-solve after cuts from the node's own,
-with each new row's logical joining the basis.  A branch fixes a binary
-that was basic, and a new logical has zero cost, so the basis stays dual
-feasible and the same dual phase re-optimizes it, usually in a few pivots
-(Achterberg, *Constraint Integer Programming*, 2007).  The tableau
-of that basis is rebuilt from one k x k block inverse over its k basic
-structurals, not from an m x m solve.
+the node that proposed it, and a re-solve after cuts or after the root's
+fixings from the node's own, with each new row's logical joining the
+basis.  A branch fixes a binary that was basic, and a new logical has zero
+cost, so the basis stays dual feasible and the same dual phase re-optimizes
+it, usually in a few pivots (Achterberg, *Constraint Integer Programming*,
+2007).  The tableau of that basis is rebuilt from one k x k block inverse
+over its k basic structurals, not from an m x m solve.
 
 Models can be written to and re-read from the textual LP format (sections
 Maximize/Subject To/Bounds/Binary/End).
@@ -393,6 +397,7 @@ def solve_mip(
     params: SolveParams | None = None,
     cut_callback: CutCallback | None = None,
     heuristic: Heuristic | None = None,
+    fixed: Mapping[int, float] | None = None,
 ) -> SolveResult:
     """Best-bound branch and cut over the binary variables.
 
@@ -408,6 +413,15 @@ def solve_mip(
     point tested: an integral one becomes the incumbent, any other branches
     on the most fractional binary (ties to the smallest index).
     ``root_value`` is the root's value after its separation.
+
+    ``fixed`` maps variable indices to values that every feasible point
+    takes, such as a presolve's h_j = 0 for a job no set can anchor; the
+    model itself is left as it is.  The root LP and its separation run
+    without them, so ``root_value`` is the model's own relaxation.  Then
+    they become the root's fixes, inherited by every child; the root
+    re-solves warm from its own basis (and separates again) only when its
+    point breaks one of them by more than FEAS_TOL.  A fixing that no
+    feasible point meets ends the search Infeasible.
 
     ``heuristic(x)`` turns the separated LP point of every node it branches,
     the root first, into a proposal: a vector whose binary entries, rounded
@@ -511,12 +525,17 @@ def solve_mip(
             # every open node is bounded by this one (best-bound order)
             open_bound = node_bound
             break
+        root = not nodes
         x, val, start = solve_node(fixes, start)
         nodes += 1
+        if root and x is not None:
+            root_value = sign * val
+            # root_value is the model's own; the fixings bind from here on
+            fixes = dict(fixed or {})
+            if any(abs(x[i] - v) > FEAS_TOL for i, v in fixes.items()):
+                x, val, start = solve_node(fixes, start)
         if x is None:
             continue
-        if not fixes:
-            root_value = sign * val
         if pruned(val):
             continue
         xb = x[binaries]
@@ -525,7 +544,7 @@ def solve_mip(
             continue
         if heuristic is not None:
             propose(heuristic(x), start)
-        if not fixes:  # LP rounding, once, at the root
+        if root:  # LP rounding, once
             propose(x, start)
         if pruned(val):
             continue

@@ -11,6 +11,7 @@ from anchorsched.formulations import (
     _greedy_anchored_heuristic,
     _implied_heads,
     _matrices,
+    _unanchorable,
 )
 from anchorsched.milp import _lp
 
@@ -140,6 +141,97 @@ def test_chvatal_bounds_are_valid():
             res = asd.solve_mip(m)
             assert res.status == "Optimal", m.name
             assert res.value == pytest.approx(sol.objective, abs=1e-6), m.name
+
+
+def _fixed_jobs(model, fixings):
+    """The jobs j whose h_j a presolve fixes to 0 in ``model``."""
+    assert set(fixings.values()) <= {0.0}
+    return {int(model.variables[i].name[2:]) for i in fixings}
+
+
+def test_presolve_fixes_exactly_the_jobs_rejected_alone():
+    rng = np.random.default_rng(53)
+    kinds = ("box", "budget", "one", "partition", "mixed", "scenarios")
+    fixed_total = kept_total = 0
+    for trial in range(60):
+        inst = random_instance(rng, int(rng.integers(2, 11)), kinds[trial % 6])
+        g, M = inst.graph, inst.deadline
+        ld = asd.worst_case_longest_paths(g, inst.delta)
+        model = asd.build_dom(inst)
+        got = _fixed_jobs(model, _unanchorable(inst, ld, model))
+        want = {j for j in g.jobs if not asd.is_anchored_set(g, ld, [j], M)}
+        assert got == want, trial
+        fixed_total += len(got)
+        kept_total += g.n - len(got)
+    assert fixed_total > 20 and kept_total > 20
+
+
+def test_presolve_keeps_a_job_the_oracle_accepts_within_eps():
+    # chain 1 -> 2 with dhat_1 = 1: LD(s, 2) + L0(2, t) = 2 + 1 = 3, and the
+    # deadline 0.5 EPS below that (kept) or 1.5 EPS below (fixed)
+    g = asd.PrecedenceGraph(2, [(0, 1), (1, 2), (2, 3)], [1.0, 1.0])
+    eps = asd.graph.EPS
+    for deadline, fixed in ((3.0 - 0.5 * eps, False), (3.0 - 1.5 * eps, True)):
+        inst = asd.Instance(
+            graph=g, delta=asd.Budgeted((1.0, 0.0), 1), deadline=deadline,
+            weights=np.ones(2), meta={},
+        )
+        ld = asd.worst_case_longest_paths(g, inst.delta)
+        assert ld.values[0, 2] + g.to_sink()[2] == 3.0
+        assert asd.is_anchored_set(g, ld, [2], deadline) is not fixed
+        model = asd.build_dom(inst)
+        assert _fixed_jobs(model, _unanchorable(inst, ld, model)) == (
+            {2} if fixed else set()
+        )
+        want = asd.brute_force_optimum(inst).objective
+        assert want == (1.0 if fixed else 2.0)
+        for which in ("std", "dom", "lay"):
+            assert asd.solve_formulation(inst, which)[0].value == want, which
+        assert asd.solve_dom_cuts(inst)[0].value == want
+
+
+def test_presolved_routes_reach_the_brute_force_optimum(monkeypatch):
+    # every route hands the presolve's fixed jobs to solve_mip
+    import anchorsched.formulations as formulations
+
+    handed = []
+
+    def recording(model, *args, fixed=None, **kwargs):
+        handed.append(_fixed_jobs(model, fixed))
+        return asd.solve_mip(model, *args, fixed=fixed, **kwargs)
+
+    monkeypatch.setattr(formulations, "solve_mip", recording)
+    rng = np.random.default_rng(59)
+    kinds = ("box", "budget", "one", "partition", "mixed", "scenarios")
+    presolved = layered = 0
+    for trial in range(60):
+        inst = random_instance(
+            rng, int(rng.integers(3, 9)), kinds[trial % 6], weighted=True
+        )
+        g = inst.graph
+        ld = asd.worst_case_longest_paths(g, inst.delta)
+        M = inst.deadline
+        rejected = {j for j in g.jobs if not asd.is_anchored_set(g, ld, [j], M)}
+        if not rejected:
+            continue
+        presolved += 1
+        want = asd.brute_force_optimum(inst).objective
+        methods = ["std", "dom"]
+        if isinstance(inst.delta, asd.Budgeted):
+            methods.append("lay")
+            layered += 1
+        handed.clear()
+        for which in methods:
+            res, sol = asd.solve_formulation(inst, which)
+            assert res.status == "Optimal", (trial, which)
+            assert res.value == sol.objective == want, (trial, which)
+        res, sol, _ = asd.solve_dom_cuts(inst)
+        assert res.status == "Optimal", trial
+        assert res.value == sol.objective == want, trial
+        assert handed == [rejected] * (len(methods) + 1), trial
+    # the presolve fixed at least one job in this many of the 60 instances,
+    # of which this many have budgeted sets
+    assert (presolved, layered) == (21, 10)
 
 
 def test_separate_chain_golden(chain3):

@@ -476,6 +476,76 @@ def test_callbacks_receive_vectors_in_variable_order():
             assert seen[0][m.var_index(v.name)] == root[v.name]
 
 
+def _fixing_model():
+    """max 3 b0 + 2 b1 + 2 b2 with 2 b0 <= 1 and b1 + b2 <= 1.5.
+
+    Every integral point has b0 = 0, but the root LP takes b0 = 0.5 and
+    b1 + b2 = 1.5 for 4.5; the optimum is 2.
+    """
+    m = MipModel()
+    for k in range(3):
+        m.add_binary(f"b{k}")
+    m.add_row({"b0": 2.0}, "<=", 1.0)
+    m.add_row({"b1": 1.0, "b2": 1.0}, "<=", 1.5)
+    m.set_objective({"b0": 3.0, "b1": 2.0, "b2": 2.0}, maximize=True)
+    return m
+
+
+def _counting_simplex(monkeypatch):
+    """Wrap milp._simplex; the returned list gets the fixes of every LP."""
+    import anchorsched.milp as milp
+
+    calls = []
+
+    def counting(model, fixes, start=None):
+        calls.append(dict(fixes or {}))
+        return _simplex(model, fixes, start)
+
+    monkeypatch.setattr(milp, "_simplex", counting)
+    return calls
+
+
+def test_fixings_leave_the_root_value_to_the_model(monkeypatch):
+    # the root LP runs without the fixings; then they bind, and the root,
+    # whose point breaks b0 = 0, re-solves with them before branching
+    m = _fixing_model()
+    lp = asd.solve_lp(m)
+    assert lp.value == 4.5 and lp.x["b0"] == 0.5
+    assert _enumerate_binary_opt(m) == 2.0
+    calls = _counting_simplex(monkeypatch)
+    res = asd.solve_mip(m, fixed={m.var_index("b0"): 0.0})
+    assert res.root_value == lp.value
+    assert res.status == "Optimal" and res.value == 2.0
+    assert res.x["b0"] == 0.0
+    assert calls[0] == {} and calls[1] == {0: 0.0}
+    assert all(fixes.get(0) == 0.0 for fixes in calls[1:])
+
+
+def test_fixing_the_root_point_meets_adds_no_lp(monkeypatch):
+    # b0 costs, so the root LP leaves it at 0: fixing it there runs the
+    # same LPs as no fixing, each later one with b0 fixed
+    m = _fixing_model()
+    m.set_objective({"b0": -1.0, "b1": 2.0, "b2": 2.0}, maximize=True)
+    assert asd.solve_lp(m).x["b0"] == 0.0
+    plain = _counting_simplex(monkeypatch)
+    want = asd.solve_mip(m)
+    fixed = _counting_simplex(monkeypatch)
+    res = asd.solve_mip(m, fixed={m.var_index("b0"): 0.0})
+    assert len(fixed) == len(plain) > 1
+    assert fixed[0] == {} and all(f.get(0) == 0.0 for f in fixed[1:])
+    assert (res.status, res.value, res.nodes, res.root_value) == (
+        want.status, want.value, want.nodes, want.root_value
+    )
+
+
+def test_fixing_no_feasible_point_meets_is_infeasible():
+    m = _fixing_model()
+    m.add_row({"b1": 1.0}, ">=", 1.0)
+    res = asd.solve_mip(m, fixed={m.var_index("b1"): 0.0})
+    assert res.status == "Infeasible" and res.x is None
+    assert res.root_value == asd.solve_lp(m).value
+
+
 def test_time_limit_status():
     m = MipModel()
     for k in range(30):
