@@ -12,8 +12,11 @@ loop build as plain Python against its twin.  The kernels:
   and box (one state), budgeted ((node, used budget) states) and
   partitioned (mixed-radix budget vectors).
 * ``dual_phase`` — the bounded dual simplex on a dense tableau: bounds stay
-  on the variables, and the start basis (all logicals, or a parent node's)
-  is dual feasible, so one phase solves the LP.
+  on the variables, and the start (all logicals, a basis rebuilt, or a
+  parent node's final tableau with its values) is dual feasible, so one
+  phase solves the LP.  It overwrites T, basis and z, so ``milp`` hands it
+  only a tableau no one else reads: a fresh build, a copy of a kept one, or
+  a kept one its last user gives up.
 * ``mask_makespans`` — makespans of the earliest baselines of anchored
   subsets given as bitmasks, for the exhaustive optimum.  Every comparable
   tail feeds an anchored head, anchored or not (the dominance rule).
@@ -152,6 +155,10 @@ def _sweep_vec(
 # nonzero: elsewhere the update would subtract zero, so values and pivot
 # choices are those of the full rank-one update.  It gathers whole columns,
 # so it is fastest on a column-major T, which is how ``milp`` allocates it.
+# On the small tableaux of branch and bound (about 70 x 110 at n = 20) a
+# pivot costs a few dozen numpy calls more than arithmetic, so the build
+# keeps the basic values in one vector, written back to z on exit, and runs
+# the ratio test over the indices of the candidate columns only.
 
 _TIE = 1e-12
 _DEGEN = 1e-10
@@ -243,53 +250,53 @@ def _dual_phase_vec(T, basis, z, lo, hi, bland_after, max_pivots, ftol, ptol):
     enter[basis] = False
     down = np.where(z == hi, -1.0, 1.0)  # the way each nonbasic can move
     lo_b, hi_b = lo[basis], hi[basis]
-    ratios = np.empty(T.shape[1])
+    zb = z[basis]  # the basic values, written back to z on exit
+    d = T[m]
     degen = 0
     pivots = 0
+    status = 0
     while True:
         bland = degen > bland_after
-        zb = z[basis]
         viol = np.maximum(lo_b - zb, zb - hi_b)
         if bland:
-            bad = np.flatnonzero(viol > ftol)
+            bad = (viol > ftol).nonzero()[0]
             if bad.size == 0:
-                return 0, pivots
-            r = int(bad[np.argmin(basis[bad])])
+                break
+            r = int(bad[basis[bad].argmin()])
         else:
-            r = int(np.argmax(viol))
+            r = int(viol.argmax())
             if viol[r] <= ftol:
-                return 0, pivots
+                break
         q = basis[r]
         below = zb[r] < lo_b[r]
         bound = lo_b[r] if below else hi_b[r]
         row = T[r]
-        moves = enter & ((down * row < -ptol) if below else (down * row > ptol))
-        ratios.fill(np.inf)
-        np.divide(np.abs(T[m]), np.abs(row), out=ratios, where=moves)
+        cand = (enter & ((down * row < -ptol) if below else (down * row > ptol))).nonzero()[0]
+        if cand.size == 0:
+            status = 1
+            break
+        ratios = np.abs(d[cand]) / np.abs(row[cand])
         best = ratios.min()
-        if best == np.inf:
-            return 1, pivots
-        ties = np.flatnonzero(ratios <= best + _TIE)
+        ties = cand[ratios <= best + _TIE]
         if ties.size == 1 or bland:
             e = int(ties[0])
         else:
-            e = int(ties[np.argmax(np.abs(row[ties]))])
+            e = int(ties[np.abs(row[ties]).argmax()])
         if best <= _DEGEN:
             degen += 1
         piv = row[e]
         delta = (zb[r] - bound) / piv
-        z[basis] = zb - T[:m, e] * delta
-        z[e] += delta
+        colv = T[:, e].copy()
+        zb -= colv[:m] * delta
+        zb[r] = z[e] + delta
         z[q] = bound
+        # the update zeroes column e exactly (x - x * 1.0), and row r takes prow
         prow = row / piv
         prow[e] = 1.0
-        colv = T[:, e].copy()
         colv[r] = 0.0
-        nz = np.flatnonzero(prow)
+        nz = prow.nonzero()[0]
         T[:, nz] -= colv[:, None] * prow[nz]
         T[r] = prow
-        T[:, e] = 0.0
-        T[r, e] = 1.0
         basis[r] = e
         lo_b[r], hi_b[r] = lo[e], hi[e]
         enter[e] = False
@@ -297,7 +304,10 @@ def _dual_phase_vec(T, basis, z, lo, hi, bland_after, max_pivots, ftol, ptol):
         down[q] = -1.0 if bound == hi[q] else 1.0
         pivots += 1
         if pivots >= max_pivots:
-            return 2, pivots
+            status = 2
+            break
+    z[basis] = zb
+    return status, pivots
 
 
 # ---------------------------------------------------------------------------

@@ -320,16 +320,18 @@ def chvatal_bound(
 
     A job anchored at its earliest start delays completion by at least
     LD(s,j) - L0(s,j) beyond the nominal critical path through j, which the
-    slack M - (L0(s,j) + L0(j,t)) must absorb; rounding the ratio gives an
-    integer bound.  Returns None when LD(s,j) = L0(s,j) (no tightening, the
+    slack M - (L0(s,j) + L0(j,t)) must absorb; the ratio rounds down to 0
+    exactly when LD(s,j) + L0(j,t) > M.  That comparison is made on the sum
+    with the oracle's EPS, as ``is_anchored_set`` rejects {j} (and as
+    ``_unanchorable`` fixes j), so the bound never cuts a set the oracle
+    accepts.  Returns None when LD(s,j) = L0(s,j) (no tightening, the
     inequality is vacuous).
     """
-    num = float(inst.deadline) - (float(l0.values[S, j]) + float(l0.values[j, inst.graph.t]))
     den = float(ld.values[S, j]) - float(l0.values[S, j])
     if den <= 1e-12:
         return None
-    val = int(np.floor(num / den + 1e-9))
-    return max(0, min(1, val))
+    start = max(0.0, float(ld.values[S, j]))
+    return 0 if start + float(l0.values[j, inst.graph.t]) > float(inst.deadline) + EPS else 1
 
 
 def add_chvatal_rows(

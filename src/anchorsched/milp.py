@@ -36,8 +36,19 @@ fixings from the node's own, with each new row's logical joining the
 basis.  A branch fixes a binary that was basic, and a new logical has zero
 cost, so the basis stays dual feasible and the same dual phase re-optimizes
 it, usually in a few pivots (Achterberg, *Constraint Integer Programming*,
-2007).  The tableau of that basis is rebuilt from one k x k block inverse
-over its k basic structurals, not from an m x m solve.
+2007).  The start is that LP's final tableau itself, kept with its values:
+a branched binary that was basic just breaks its new bound, and a binary a
+proposal fixes at its other bound while nonbasic moves there, the basic
+values following by its column.  A branched node hands its tableau to both
+children; the first child popped solves from a copy and the last one in
+place, and a proposal always solves from a copy.  KEEP_CELLS, a memory
+guard, bounds the cells of the tableaux that open nodes hold; a node over
+it hands its children the basis alone.  A seeded LP is accepted only when
+its residual max |A x - s| is at most FEAS_TOL; otherwise, and when there
+is no kept tableau or rows were added since (cuts), the tableau of the
+start's basis is rebuilt from one k x k block inverse over its k basic
+structurals, not from an m x m solve (Koberstein 2005 pairs such a check
+with refactorization).
 
 Models can be written to and re-read from the textual LP format (sections
 Maximize/Subject To/Bounds/Binary/End).
@@ -73,6 +84,9 @@ BLAND_AFTER = 1000
 MAX_PIVOTS = 200_000
 #: distance from 0 or 1 within which a binary counts as integral
 INT_TOL = 1e-6
+#: float64 cells (8 MiB) of the kept tableaux that open nodes may hold; a
+#: memory guard, not an option
+KEEP_CELLS = 2**20
 
 
 @dataclass(frozen=True)
@@ -307,19 +321,78 @@ def _tableau(A, cost, lo, hi, basis, upper):
     return T, z
 
 
+@dataclass(eq=False)
+class WarmStart:
+    """Where a later LP of the same model starts: an Optimal LP's final state.
+
+    It unpacks as the pair ``basis, upper`` (the final basis and at-upper
+    flags of [x, s]).  T and z are that LP's final tableau and values under
+    the bounds lo and hi of [x, s], or None once dropped; they can seed a
+    later LP only while the model has no row they lack.  ``owned`` hands T
+    over: the solve it is given to may overwrite it, any other works on a
+    copy.
+    """
+
+    basis: np.ndarray
+    upper: np.ndarray
+    T: np.ndarray | None = None
+    z: np.ndarray | None = None
+    lo: np.ndarray | None = None
+    hi: np.ndarray | None = None
+    owned: bool = False
+
+    def __iter__(self):
+        return iter((self.basis, self.upper))
+
+
+def _seed(start: WarmStart, lo, hi):
+    """The kept tableau of ``start`` under new bounds, as (T, z, basis), or None.
+
+    A basic variable keeps its value, which the dual phase repairs if it now
+    breaks a bound (a branch on a basic binary).  A nonbasic one whose bounds
+    tightened, or that is fixed at another value (a binary a proposal fixes
+    at its other bound), moves to the nearer new bound, and the basic values
+    follow by its column of T; at the bound it moved to, its reduced cost
+    still has the right sign, or it is fixed and never enters.  None when
+    the model gained rows since, or a free nonbasic had a bound loosened,
+    which could leave the basis dual infeasible.
+    """
+    T = start.T
+    if T is None or T.shape[1] != len(lo):
+        return None
+    z, basis = start.z.copy(), start.basis.copy()
+    changed = ((lo != start.lo) | (hi != start.hi)).nonzero()[0]
+    if changed.size:
+        basic = np.zeros(len(z), dtype=bool)
+        basic[basis] = True
+        j = changed[~basic[changed]]
+        lo_j, hi_j, z_j = lo[j], hi[j], z[j]
+        if (((lo_j < start.lo[j]) | (hi_j > start.hi[j])) & (lo_j < hi_j)).any():
+            return None
+        step = np.minimum(np.maximum(z_j, lo_j), hi_j) - z_j
+        z[basis] -= T[: len(basis), j] @ step
+        z[j] = z_j + step
+    if not start.owned:
+        T = T.copy(order="F")
+    return T, z, basis
+
+
 def _simplex(model: MipModel, fixes: dict[int, float] | None, start=None):
     """Solve the LP relaxation (integrality ignored) with bound overrides.
 
     Standard form ``A x - s = 0``: structurals keep their bounds (a fix sets
     lb = ub), and the logical s of each row is bounded by its sense.  The
     cold start is all logicals basic with every structural at the bound its
-    cost prefers, which is dual feasible.  ``start`` is the (basis, at-upper
-    flags) pair an earlier Optimal solve of this model returned; rows added
-    since then join its basis with their logical.  Its tableau comes from
-    ``_tableau``, and the solve starts cold when that returns None.
+    cost prefers, which is dual feasible.  ``start`` is the ``WarmStart`` an
+    earlier Optimal solve of this model returned, or its (basis, at-upper
+    flags) pair.  Its kept tableau seeds the solve (``_seed``), and the
+    result is accepted only when the residual max |A x - s| is at most
+    FEAS_TOL, one matrix-vector product.  Otherwise the tableau of its basis
+    comes from ``_tableau``, rows added since joining the basis with their
+    logical, and the solve starts cold when that returns None.
     Returns (status, x_full, iterations, final) where status is "Optimal"
     or "Infeasible", x_full is a full variable-value vector and final the
-    pair to warm-start from (both None unless Optimal).  Raises
+    ``WarmStart`` of this solve (both None unless Optimal).  Raises
     NumericalFailure when the pivot limit is exhausted.
     """
     A, lo, hi, c = model._standard_form()
@@ -331,30 +404,43 @@ def _simplex(model: MipModel, fixes: dict[int, float] | None, start=None):
                 return "Infeasible", None, 0, None
             lo[idx] = hi[idx] = val
     cost = -c if model.maximize else c
-    built = None
-    if start is not None:
-        basis, upper = start
-        new = np.arange(n + len(basis), n + m)
-        basis = np.concatenate([basis, new])
-        upper = np.concatenate([upper, np.zeros(len(new), dtype=bool)])
-        built = _tableau(A, cost, lo, hi, basis, upper)
-    if built is None:
-        basis = np.arange(n, n + m)
-        upper = np.concatenate([cost < 0, np.zeros(m, dtype=bool)])
-        built = _tableau(A, cost, lo, hi, basis, upper)
-    T, z = built
-    status, iterations = _kernels.dual_phase(
-        T, basis, z, lo, hi, BLAND_AFTER, MAX_PIVOTS, FEAS_TOL, PIVOT_TOL
-    )
+    if start is not None and not isinstance(start, WarmStart):
+        start = WarmStart(*start)
+    iterations = 0
+    seeded = None if start is None else _seed(start, lo, hi)
+    if seeded is not None:
+        T, z, basis = seeded
+        status, iterations = _kernels.dual_phase(
+            T, basis, z, lo, hi, BLAND_AFTER, MAX_PIVOTS, FEAS_TOL, PIVOT_TOL
+        )
+        if np.max(np.abs(A @ z[:n] - z[n:]), initial=0.0) > FEAS_TOL:
+            seeded = None  # the kept tableau drifted: rebuild it
+    if seeded is None:
+        built = None
+        if start is not None:
+            new = np.arange(n + len(start.basis), n + m)
+            basis = np.concatenate([start.basis, new])
+            upper = np.concatenate([start.upper, np.zeros(len(new), dtype=bool)])
+            built = _tableau(A, cost, lo, hi, basis, upper)
+        if built is None:
+            basis = np.arange(n, n + m)
+            upper = np.concatenate([cost < 0, np.zeros(m, dtype=bool)])
+            built = _tableau(A, cost, lo, hi, basis, upper)
+        T, z = built
+        status, pivots = _kernels.dual_phase(
+            T, basis, z, lo, hi, BLAND_AFTER, MAX_PIVOTS, FEAS_TOL, PIVOT_TOL
+        )
+        iterations += pivots
     if status == 2:
         raise NumericalFailure(f"pivot limit {MAX_PIVOTS} hit")
     if status == 1:
         return "Infeasible", None, iterations, None
-    return "Optimal", np.clip(z[:n], lo[:n], hi[:n]), iterations, (basis, z == hi)
+    final = WarmStart(basis, z == hi, T, z, lo, hi)
+    return "Optimal", np.clip(z[:n], lo[:n], hi[:n]), iterations, final
 
 
 def _lp(model: MipModel, fixes=None, start=None):
-    """One LP solve as (SolveResult, final warm-start pair or None)."""
+    """One LP solve as (SolveResult, final WarmStart or None)."""
     t0 = time.perf_counter()
     status, x_full, iters, final = _simplex(model, fixes, start)
     rt = time.perf_counter() - t0
@@ -423,10 +509,13 @@ def solve_mip(
     point breaks one of them by more than FEAS_TOL.  A fixing that no
     feasible point meets ends the search Infeasible.
 
-    ``heuristic(x)`` turns the separated LP point of every node it branches,
-    the root first, into a proposal: a vector whose binary entries, rounded
-    to 0/1, are read (None proposes nothing).  Rounding the root LP is one
-    more proposal.  Each proposal is completed by the LP with those binaries
+    ``heuristic(x)`` turns the separated LP point of a node it branches into
+    a proposal: a vector whose binary entries, rounded to 0/1, are read
+    (None proposes nothing).  It runs on a geometric schedule, at the k-th
+    branched node for k = 0 (the root, when it branches), 1, 2, 4, 8, ...:
+    deep in the tree its proposals seldom beat the incumbent, and each call
+    costs about as much as a node LP.  Rounding the root LP is one more
+    proposal.  Each proposal is completed by the LP with those binaries
     fixed, warm-started from the proposing node's basis, and its point is
     offered to the callback and the row check; a point the callback cuts off
     is dropped.  When the objective lies on the binaries, a proposal that
@@ -484,20 +573,26 @@ def solve_mip(
         return bool(cuts)
 
     def solve(fixes: dict[int, float], start):
-        """One LP: its point (None unless Optimal), value and final pair."""
+        """One LP: its point (None unless Optimal), value and final start."""
         nonlocal iterations
         _, x, iters, start = _simplex(model, fixes, start)
         iterations += iters
         return x, np.nan if x is None else float(cost @ x), start
 
     def solve_node(fixes: dict[int, float], start):
-        """The node's LP, re-solved after every round of cuts."""
+        """The node's LP, re-solved after every round of cuts.
+
+        The final start is the node's alone; it keeps its tableau only while
+        that fits under KEEP_CELLS beside the ones open nodes hold.
+        """
         x, val, start = solve(fixes, start)
         while x is not None and not pruned(val) and vet_cuts(x):
             x, val, start = solve(fixes, start)
+        if start is not None and start.T is not None and held + start.T.size > KEEP_CELLS:
+            start = WarmStart(start.basis, start.upper)
         return x, val, start
 
-    def propose(proposal: np.ndarray | None, start: tuple) -> None:
+    def propose(proposal: np.ndarray | None, start: WarmStart) -> None:
         """Complete a proposal by the fixed-binary LP and offer its point."""
         if proposal is None:
             return
@@ -508,11 +603,14 @@ def solve_mip(
         if x is not None and not vet_cuts(x):
             try_incumbent(x, val)
 
-    # (bound, creation order, fixes, warm-start pair); the root is solved cold
+    # (bound, creation order, fixes, start shared with the sibling); the root
+    # is solved cold
     order = itertools.count()
-    heap: list[tuple[float, int, dict[int, float], tuple | None]] = [
+    heap: list[tuple[float, int, dict[int, float], WarmStart | None]] = [
         (-np.inf, next(order), {}, None)
     ]
+    held = 0  # cells of the kept tableaux in the heap
+    branched = 0  # fractional nodes that were not pruned before the heuristic
 
     status = "Optimal"
     open_bound = None  # the best bound left open when the search stops
@@ -526,13 +624,19 @@ def solve_mip(
             open_bound = node_bound
             break
         root = not nodes
-        x, val, start = solve_node(fixes, start)
+        if start is not None and start.owned and start.T is not None:
+            held -= start.T.size  # the last child takes the tableau over
+        x, val, final = solve_node(fixes, start)
+        if start is not None:
+            start.owned = True  # the first child solved from a copy
+        start = final
         nodes += 1
         if root and x is not None:
             root_value = sign * val
             # root_value is the model's own; the fixings bind from here on
             fixes = dict(fixed or {})
             if any(abs(x[i] - v) > FEAS_TOL for i, v in fixes.items()):
+                start.owned = True
                 x, val, start = solve_node(fixes, start)
         if x is None:
             continue
@@ -542,8 +646,9 @@ def solve_mip(
         if np.all(np.abs(xb - np.round(xb)) <= INT_TOL):
             try_incumbent(x, val)
             continue
-        if heuristic is not None:
-            propose(heuristic(x), start)
+        if heuristic is not None and branched & (branched - 1) == 0:
+            propose(heuristic(x), start)  # at branched nodes 0, 1, 2, 4, 8, ...
+        branched += 1
         if root:  # LP rounding, once
             propose(x, start)
         if pruned(val):
@@ -555,6 +660,8 @@ def solve_mip(
             if i not in fixes and dist < best_dist - 1e-12:
                 best_dist = dist
                 cand = i
+        if start.T is not None:
+            held += start.T.size
         for v in (0.0, 1.0):
             child = dict(fixes)
             child[cand] = v

@@ -143,6 +143,25 @@ def test_chvatal_bounds_are_valid():
             assert res.value == pytest.approx(sol.objective, abs=1e-6), m.name
 
 
+def test_chvatal_bound_keeps_a_job_the_oracle_accepts_within_eps():
+    # chain 1 -> 2 with dhat_1 = 1: LD(s, 2) + L0(2, t) = 3, and the deadline
+    # 0.5 EPS below that; {2} is anchorable, so h_2 keeps its bound of 1 and
+    # the rows leave the optimum of 2
+    g = asd.PrecedenceGraph(2, [(0, 1), (1, 2), (2, 3)], [1.0, 1.0])
+    inst = asd.Instance(
+        graph=g, delta=asd.Budgeted((1.0, 0.0), 1),
+        deadline=3.0 - 0.5 * asd.graph.EPS, weights=np.ones(2), meta={},
+    )
+    l0, ld = _matrices(inst, None, None)
+    assert asd.is_anchored_set(g, ld, [2], inst.deadline)
+    assert asd.chvatal_bound(inst, l0, ld, 2) == 1
+    want = asd.brute_force_optimum(inst).objective
+    assert want == 2.0
+    m = asd.build_dom(inst)
+    assert asd.add_chvatal_rows(m, inst, l0, ld) == 0
+    assert asd.solve_mip(m).value == want
+
+
 def _fixed_jobs(model, fixings):
     """The jobs j whose h_j a presolve fixes to 0 in ``model``."""
     assert set(fixings.values()) <= {0.0}

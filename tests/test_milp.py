@@ -1,5 +1,6 @@
 """The LP/MIP engine: simplex, branch and bound, cuts, LP files."""
 
+import dataclasses
 import itertools
 import math
 
@@ -267,6 +268,133 @@ def test_warm_start_falls_back_to_cold():
         assert (warm[0], warm[2]) == (cold[0], cold[2])  # status, pivots
         assert np.array_equal(warm[1], cold[1])
     assert _simplex(m, None, cold[3])[2] == 0  # the optimal pair needs no pivot
+
+
+def _counting_tableau(monkeypatch):
+    """Wrap milp._tableau; the returned list gets one entry per call."""
+    import anchorsched.milp as milp
+
+    calls = []
+
+    def counting(*args):
+        calls.append(True)
+        return _tableau(*args)
+
+    monkeypatch.setattr(milp, "_tableau", counting)
+    return calls
+
+
+def test_kept_tableau_seeds_children(monkeypatch):
+    # a child seeded from its parent's final tableau, with no rebuild, agrees
+    # with the cold solve and HiGHS: a branch fixes a basic binary, and a
+    # proposal fixes every binary, moving the nonbasic ones it fixes at
+    # their other bound; a seed solves from a copy unless handed the tableau
+    scipy_opt = pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(41)
+    rebuilds = _counting_tableau(monkeypatch)
+    seen, moved = set(), 0
+    for trial in range(150):
+        nbin = int(rng.integers(1, 5))
+        m = _random_lp(rng, int(rng.integers(1, 6)), int(rng.integers(1, 7)), nbin)
+        parent, start = _lp(m)
+        if parent.status != "Optimal":
+            continue
+        saved = [a.copy() for a in (start.T, start.z, start.basis)]
+        bins = [m.var_index(f"b{k}") for k in range(nbin)]
+        branches = [{i: float(rng.integers(0, 2))} for i in bins if i in start.basis]
+        flipped = {i: 1.0 - start.z[i] for i in bins if i not in start.basis}
+        proposal = {i: float(rng.integers(0, 2)) for i in bins} | flipped
+        moved += len(flipped)
+        for kind, fixes in [("branch", f) for f in branches] + [("proposal", proposal)]:
+            del rebuilds[:]
+            warm = _assert_child(scipy_opt, m, fixes, start, trial)
+            assert len(rebuilds) == 1, trial  # the cold solve's, not the warm one's
+            handed = dataclasses.replace(start, T=start.T.copy(order="F"), owned=True)
+            own = _lp(m, fixes, handed)[0]
+            assert (own.status, own.value, own.x) == (warm.status, warm.value, warm.x)
+            seen.add(kind)
+        # the proposal's start seeds no LP that frees its fixed binaries:
+        # their reduced costs may have the wrong sign, so it is rebuilt
+        fixed_start = _lp(m, proposal)[1]
+        if fixed_start is not None:
+            del rebuilds[:]
+            _assert_child(scipy_opt, m, {}, fixed_start, trial)
+            assert len(rebuilds) >= 2, trial
+        for a, b in zip((start.T, start.z, start.basis), saved):
+            assert np.array_equal(a, b), trial  # not handed over: untouched
+    assert seen == {"branch", "proposal"} and moved > 20
+
+
+def test_corrupted_kept_tableau_falls_back_to_a_rebuild(monkeypatch):
+    # a kept tableau whose values or columns no longer satisfy A x = s
+    # fails the residual check after its dual phase, and the LP is solved
+    # again from the rebuilt tableau of the same basis
+    scipy_opt = pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(43)
+    rebuilds = _counting_tableau(monkeypatch)
+    caught = 0
+    for trial in range(120):
+        nbin = int(rng.integers(1, 5))
+        m = _random_lp(rng, int(rng.integers(1, 6)), int(rng.integers(1, 7)), nbin)
+        parent, start = _lp(m)
+        if parent.status != "Optimal":
+            continue
+        bad = dataclasses.replace(start, T=start.T.copy(order="F"), z=start.z.copy())
+        if trial % 2:
+            bad.z[bad.basis[0]] += 1.0  # a drifted basic value
+        else:
+            bad.T[:-1] *= 1.5  # drifted columns, caught once a pivot moves z
+        fixes = {m.var_index(f"b{k}"): float(rng.integers(0, 2)) for k in range(nbin)}
+        del rebuilds[:]
+        _assert_child(scipy_opt, m, fixes, bad, trial)
+        caught += len(rebuilds) == 2  # the cold solve's and the fall back's
+        if trial % 2:
+            assert len(rebuilds) == 2, trial
+    assert caught > 40
+
+
+def test_no_kept_tableau_rebuilds_every_lp(monkeypatch):
+    # with no cells for kept tableaux every LP builds its tableau, and the
+    # search ends where it does by default, where only the root builds one
+    import anchorsched.milp as milp
+
+    model = asd.build_dom(asd.make_instance("SP_pZero_dUnif_G1", 20, 0))
+    results = []
+    for keep in (milp.KEEP_CELLS, 0):
+        monkeypatch.setattr(milp, "KEEP_CELLS", keep)
+        lps = _counting_simplex(monkeypatch)
+        rebuilds = _counting_tableau(monkeypatch)
+        res = asd.solve_mip(model)
+        results.append((res.status, res.value, res.bound, res.nodes))
+        assert len(rebuilds) == (len(lps) if keep == 0 else 1) and len(lps) > 1
+    assert results[0] == results[1]
+
+
+def test_heuristic_runs_at_branched_nodes_on_a_geometric_schedule():
+    # no integral point (the binaries sum to 3.5), so no incumbent prunes
+    # and every node whose LP is feasible branches; the callback sees each
+    # such node first, and the heuristic only the 0th, 1st, 2nd, 4th, ...
+    m = MipModel()
+    names = [f"b{k}" for k in range(7)]
+    for name in names:
+        m.add_binary(name)
+    m.add_row(dict.fromkeys(names, 1.0), "=", 3.5)
+    m.set_objective({name: float(k + 1) for k, name in enumerate(names)}, maximize=True)
+    branched, proposed = [], []
+
+    def callback(x):
+        branched.append(x)
+        return []
+
+    def heuristic(x):
+        proposed.append(x)
+        return None
+
+    res = asd.solve_mip(m, cut_callback=callback, heuristic=heuristic)
+    assert res.status == "Infeasible" and len(branched) > 40
+    at = [k for k, x in enumerate(branched) if any(x is p for p in proposed)]
+    assert at == [k for k in range(len(branched)) if k & (k - 1) == 0]
+    assert len(proposed) == len(at)
 
 
 def test_branch_and_bound_warm_starts_its_nodes():
