@@ -15,7 +15,10 @@ Workloads cover every accelerated kernel family through public entry points:
 * branch and bound — the ``dom`` and ``lay`` MIPs, node LPs warm-started by
   the dual simplex, incumbents from the greedy heuristic, and the chain-cut
   master of ``dom_cuts``, separated at every node (nodes and pivots are
-  printed under the table).
+  printed under the table),
+* model builds — ``build_std``, ``build_dom`` and ``build_lay`` with the
+  standard form the simplex reads, L0 and LD computed beforehand (model
+  sizes are printed under the table).
 
 Run ``python3 benchmarks/bench_kernels.py``; the script puts the
 repository's ``src/`` first on ``sys.path`` itself, so no install and no
@@ -44,6 +47,12 @@ WORKLOADS = (
     ("branch and bound dom n=40", "bnb"),
     ("branch and bound lay n=20", "bnb_lay"),
     ("branch and cut dom_cuts n=40", "bnc"),
+    *(
+        (f"build {which} {family} n=100", f"build {which} {family}_pRand_dRand_G2 100")
+        for family in ("ER", "SP")
+        for which in ("dom", "std", "lay")
+    ),
+    ("build dom ER n=240", "build dom ER_pRand_dRand_G2 240"),
 )
 
 
@@ -95,6 +104,25 @@ def _build(tag: str):
     if tag == "bnc":
         inst = asd.make_instance("ER_pRand_dRand_G1", 40, 0)
         return lambda: asd.solve_dom_cuts(inst)[0], None
+    if tag.startswith("build "):
+        _, which, label, n = tag.split()
+        inst = asd.make_instance(label, int(n), 0)
+        g = inst.graph
+        l0 = asd.all_pairs_longest(g, g.p)
+        ld = asd.worst_case_longest_paths(g, inst.delta)
+        build = {
+            "std": lambda: asd.build_std(inst, ld),
+            "dom": lambda: asd.build_dom(inst, l0, ld),
+            "lay": lambda: asd.build_lay(inst),
+        }[which]
+
+        def fn():
+            model = build()
+            model._standard_form()
+            return model
+
+        model = fn()
+        return fn, f"{len(model.rows)} rows, {model.n_vars} columns"
     raise ValueError(tag)
 
 

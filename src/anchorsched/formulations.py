@@ -19,6 +19,9 @@ Three equivalent mixed-integer models over binary anchoring indicators h:
   depend on Γ; the chain description of the projection below, the MIP
   optimum and the LP bound are all unchanged.
 
+Each builder computes its rows with numpy, as index and coefficient arrays,
+and appends them to the model as one dense block (``MipModel.add_rows``).
+
 The h-projections of the ``dom`` and ``lay`` relaxations are described by
 chain inequalities: for every s-t chain in the comparability order, the sum of
 hop weights must not exceed the deadline.  ``separate_chain`` finds the most
@@ -66,12 +69,14 @@ from .uncertainty import (
 SEP_TOL = 1e-6
 
 
-def _node_label(g, v: int) -> str:
-    if v == S:
-        return "s"
-    if v == g.t:
-        return "t"
-    return str(v)
+#: cells (tails x nodes x nodes, 2 MiB as float64) one ``_implied_heads``
+#: block may span; a memory guard, not an option
+IMPLIED_CELLS = 2**18
+
+
+def _labels(g) -> list[str]:
+    """Node labels for variable and row names: s, 1..n, t."""
+    return ["s", *map(str, g.jobs), "t"]
 
 
 def _matrices(inst: Instance, l0, ld):
@@ -89,6 +94,31 @@ def _objective(model: MipModel, inst: Instance) -> None:
     )
 
 
+def _schedule_model(name: str, inst: Instance, prefix: str, ub: float) -> MipModel:
+    """A model with schedule columns and binaries, and no rows yet.
+
+    Columns {prefix}_v in [0, ub] for v = s, 1..n, t (the s copy fixed to 0)
+    come first, then the binaries h_1..h_n: node v is column v and job j's h
+    is column t + j.
+    """
+    g = inst.graph
+    model = MipModel(name=name)
+    names = [f"{prefix}_{v}" for v in _labels(g)] + [f"h_{j}" for j in g.jobs]
+    ubs = np.full(len(names), ub)
+    ubs[S] = 0.0
+    ubs[g.t + 1 :] = 1.0
+    model.add_vars(names, 0.0, ubs, binary=np.arange(len(names)) > g.t)
+    return model
+
+
+def _block(shape, *entries) -> np.ndarray:
+    """Dense row block with A[rows, cols] = vals for each (rows, cols, vals)."""
+    A = np.zeros(shape)
+    for rows, cols, vals in entries:
+        A[rows, cols] = vals
+    return A
+
+
 def build_std(
     inst: Instance, ld: LongestPathMatrix | None = None
 ) -> MipModel:
@@ -103,57 +133,87 @@ def build_std(
     g = inst.graph
     if ld is None:
         ld = worst_case_longest_paths(g, inst.delta)
+    t = g.t
     M = float(inst.deadline)
-    ubx = max(M, 0.0)
-    model = MipModel(name="std")
-    model.add_var("x_s", 0.0, 0.0)
-    for j in g.jobs:
-        model.add_var(f"x_{j}", 0.0, ubx)
-    model.add_var("x_t", 0.0, ubx)
-    for j in g.jobs:
-        model.add_binary(f"h_{j}")
-    for i, j in g.arcs:
-        model.add_row(
-            {f"x_{_node_label(g, j)}": 1.0, f"x_{_node_label(g, i)}": -1.0},
-            ">=",
-            float(g.p[i]),
-            name=f"arc_{_node_label(g, i)}_{_node_label(g, j)}",
-        )
-    model.add_row({"x_t": 1.0}, "<=", M, name="deadline")
-    for i, j in ld.pairs():
-        L = float(ld.values[i, j])
-        coefs = {f"x_{_node_label(g, j)}": 1.0, f"x_{_node_label(g, i)}": -1.0}
-        rhs = -L
-        if i == S:
-            rhs += L
-        else:
-            coefs[f"h_{i}"] = coefs.get(f"h_{i}", 0.0) - L
-        if j != g.t:
-            coefs[f"h_{j}"] = coefs.get(f"h_{j}", 0.0) - L
-        model.add_row(
-            coefs, ">=", rhs, name=f"pair_{_node_label(g, i)}_{_node_label(g, j)}"
-        )
+    model = _schedule_model("std", inst, "x", max(M, 0.0))
+    arcs = np.array(g.arcs, dtype=np.intp).reshape(-1, 2)
+    ai, aj = arcs[:, 0], arcs[:, 1]
+    I, J = np.nonzero(ld.reach)
+    L = ld.values[I, J]
+    rhs = -L
+    rhs[I == S] += L[I == S]
+    e, p = len(arcs), len(I)
+    ra, rp = np.arange(e), np.arange(e + 1, e + 1 + p)
+    tail_h, head_h = I != S, J != t  # h_s = 1 and h_t = 0 substituted
+    A = _block(
+        (e + 1 + p, model.n_vars),
+        (ra, aj, 1.0), (ra, ai, -1.0), (e, t, 1.0),
+        (rp, J, 1.0), (rp, I, -1.0),
+        (rp[tail_h], t + I[tail_h], 0.0 - L[tail_h]),
+        (rp[head_h], t + J[head_h], 0.0 - L[head_h]),
+    )
+    lab = _labels(g)
+    names = [f"arc_{lab[i]}_{lab[j]}" for i, j in g.arcs]
+    names.append("deadline")
+    names += [f"pair_{lab[i]}_{lab[j]}" for i, j in zip(I.tolist(), J.tolist())]
+    lo = np.concatenate([g.p[ai], [-np.inf], rhs])
+    hi = np.full(len(A), np.inf)
+    hi[e] = M
+    model.add_rows(A, lo, hi, names)
     _objective(model, inst)
     return model
 
 
-def _implied_heads(l0, ld, sink, i: int) -> np.ndarray:
-    """Which pair rows of tail i are implied by the rows through some job k?
+def _implied_heads(l0, ld, sink, tails) -> np.ndarray:
+    """Which pair rows of each tail in ``tails`` are implied through a job k?
 
     Adding the rows for (i, k) and (k, j) gives, using h_k >= 0,
     z_j - z_i >= L0(i, k) + L0(k, j) + gain(k, j) h_j; this dominates the
     (i, j) row whenever k lies on a longest nominal i-j path and the head
     tightening does not shrink, i.e. gain(k, j) >= gain(i, j) (heads at the
     sink carry no tightening).  Such rows can be skipped: the polytope — and
-    hence the LP bound — is unchanged, only the model gets smaller.  Entry j
-    of the result decides head j; heads not reachable from i are meaningless.
+    hence the LP bound — is unchanged, only the model gets smaller.  Row r
+    of the result decides the heads of ``tails[r]``; heads it does not reach
+    are meaningless.  The block spans len(tails) x |U| x |U| cells for the
+    nodes U the tails reach, which hold every k and j of a tail.  L0 is -inf
+    off reachability, so the path test fails unless i reaches k and k
+    reaches j.
     """
-    ks = np.flatnonzero(l0.reach[i])
-    tight = l0.values[i, ks, None] + l0.values[ks] >= l0.values[i] - 1e-9
+    U = np.flatnonzero(l0.reach[tails].any(axis=0))
+    v, w = l0.values[:, U], ld.values[:, U]
+    l0_t, l0_u = v[tails], v[U]
+    implied = l0_t[:, :, None] + l0_u >= l0_t[:, None, :] - 1e-9
     with np.errstate(invalid="ignore"):  # -inf - -inf off reachability
-        keeps = ld.values[ks] - l0.values[ks] >= ld.values[i] - l0.values[i] - 1e-9
-    keeps[:, sink] = True
-    return np.any(l0.reach[ks] & tight & keeps, axis=0)
+        keeps = w[U] - l0_u >= (w[tails] - l0_t)[:, None, :] - 1e-9
+    keeps[:, :, U == sink] = True
+    implied &= keeps
+    out = np.zeros((len(tails), l0.reach.shape[1]), dtype=bool)
+    out[:, U] = implied.any(axis=1)
+    return out
+
+
+def _kept_pairs(g, l0, ld) -> np.ndarray:
+    """The pair rows ``build_dom`` keeps: reach of tails s, 1..n less implied.
+
+    Tails go in topological order, in blocks, each grown while it spans at
+    most IMPLIED_CELLS cells (at least one tail per block); tails close in
+    that order reach much the same nodes.
+    """
+    keep = l0.reach[: g.t].copy()
+    order = [v for v in topological_order(g) if v != g.t]
+    start = 0
+    while start < len(order):
+        reached = keep[order[start]]
+        stop = start + 1
+        while stop < len(order):
+            grown = reached | keep[order[stop]]
+            if (stop + 1 - start) * np.count_nonzero(grown) ** 2 > IMPLIED_CELLS:
+                break
+            reached, stop = grown, stop + 1
+        tails = np.array(order[start:stop])
+        keep[tails] &= ~_implied_heads(l0, ld, g.t, tails)
+        start = stop
+    return keep
 
 
 def build_dom(
@@ -173,27 +233,25 @@ def build_dom(
     """
     l0, ld = _matrices(inst, l0, ld)
     g = inst.graph
+    t = g.t
     M = float(inst.deadline)
-    ubz = max(M, 0.0)
-    model = MipModel(name="dom")
-    model.add_var("z_s", 0.0, 0.0)
-    for j in g.jobs:
-        model.add_var(f"z_{j}", 0.0, ubz)
-    model.add_var("z_t", 0.0, ubz)
-    for j in g.jobs:
-        model.add_binary(f"h_{j}")
-    model.add_row({"z_t": 1.0}, "<=", M, name="deadline")
-    for i in range(g.t):
-        implied = _implied_heads(l0, ld, g.t, i)
-        for j in np.flatnonzero(l0.reach[i] & ~implied).tolist():
-            li, lj = _node_label(g, i), _node_label(g, j)
-            base = float(l0.values[i, j])
-            coefs = {f"z_{lj}": 1.0, f"z_{li}": -1.0}
-            if j != g.t:
-                gain = float(ld.values[i, j]) - base
-                if gain != 0.0:
-                    coefs[f"h_{j}"] = -gain
-            model.add_row(coefs, ">=", base, name=f"pair_{li}_{lj}")
+    model = _schedule_model("dom", inst, "z", max(M, 0.0))
+    I, J = np.nonzero(_kept_pairs(g, l0, ld))
+    base = l0.values[I, J]
+    gain = ld.values[I, J] - base
+    rows = np.arange(1, len(I) + 1)
+    tight = (J != t) & (gain != 0.0)
+    A = _block(
+        (len(I) + 1, model.n_vars),
+        (0, t, 1.0), (rows, J, 1.0), (rows, I, -1.0),
+        (rows[tight], t + J[tight], -gain[tight]),
+    )
+    lab = _labels(g)
+    names = ["deadline"]
+    names += [f"pair_{lab[i]}_{lab[j]}" for i, j in zip(I.tolist(), J.tolist())]
+    hi = np.full(len(A), np.inf)
+    hi[0] = M
+    model.add_rows(A, np.concatenate([[-np.inf], base]), hi, names)
     _objective(model, inst)
     return model
 
@@ -241,41 +299,51 @@ def build_lay(inst: Instance) -> MipModel:
     maxD = float(max(D[1 : g.n + 1].max(), 0.0)) if g.n else 0.0
     ub_all = max(M, 0.0) + gamma * maxD + max(float(dist_dev[g.t]), 0.0)
 
+    t, N = g.t, g.n + 2
+    layers = gamma + 1
+    lab = _labels(g)
     model = MipModel(name="lay")
-    for gam in range(gamma + 1):
-        model.add_var(f"x{gam}_s", 0.0, 0.0)
-        for j in g.jobs:
-            model.add_var(f"x{gam}_{j}", 0.0, ub_all)
-        model.add_var(f"x{gam}_t", 0.0, ub_all)
-    for j in g.jobs:
-        model.add_binary(f"h_{j}")
+    names = [f"x{gam}_{v}" for gam in range(layers) for v in lab]
+    names += [f"h_{j}" for j in g.jobs]
+    ubs = np.full(len(names), ub_all)
+    ubs[: layers * N : N] = 0.0
+    ubs[layers * N :] = 1.0
+    model.add_vars(names, 0.0, ubs, binary=np.arange(len(names)) >= layers * N)
 
-    for gam in range(gamma + 1):
-        for i, j in g.arcs:
-            li, lj = _node_label(g, i), _node_label(g, j)
-            model.add_row(
-                {f"x{gam}_{lj}": 1.0, f"x{gam}_{li}": -1.0},
-                ">=",
-                float(g.p[i]),
-                name=f"lay{gam}_arc_{li}_{lj}",
-            )
-    for gam in range(gamma):
-        for i, j in g.arcs:
-            li, lj = _node_label(g, i), _node_label(g, j)
-            model.add_row(
-                {f"x{gam}_{lj}": 1.0, f"x{gam + 1}_{li}": -1.0},
-                ">=",
-                float(g.p[i] + dev[i]),
-                name=f"lay{gam}_dev_{li}_{lj}",
-            )
-    for j in g.jobs:
-        dj = float(D[j])
-        for gam in range(gamma):
-            coefs = {f"x{gam + 1}_{j}": 1.0, f"x{gam}_{j}": -1.0}
-            if dj != 0.0:
-                coefs[f"h_{j}"] = -dj
-            model.add_row(coefs, ">=", -dj, name=f"vert{gam}_{j}")
-    model.add_row({f"x{gamma}_t": 1.0}, "<=", M, name="deadline")
+    # column of node v in layer gam: gam N + v; rows: the arcs of every
+    # layer, the transversal arcs of layers 0..Γ-1, the vertical rows job by
+    # job, the deadline
+    arcs = np.array(g.arcs, dtype=np.intp).reshape(-1, 2)
+    ai, aj = arcs[:, 0], arcs[:, 1]
+    E = len(arcs)
+    off = N * np.arange(layers)[:, None]
+    r_arc = np.arange(layers * E)
+    r_dev = layers * E + np.arange(gamma * E)
+    jobs = np.repeat(np.arange(1, g.n + 1), gamma)
+    gams = np.tile(np.arange(gamma), g.n)
+    r_vert = (layers + gamma) * E + np.arange(len(jobs))
+    dj = D[jobs]
+    slack = dj != 0.0
+    m = len(r_vert) + (layers + gamma) * E + 1
+    A = _block(
+        (m, model.n_vars),
+        (r_arc, (off + aj).ravel(), 1.0), (r_arc, (off + ai).ravel(), -1.0),
+        (r_dev, (off[:-1] + aj).ravel(), 1.0), (r_dev, (off[1:] + ai).ravel(), -1.0),
+        (r_vert, (gams + 1) * N + jobs, 1.0), (r_vert, gams * N + jobs, -1.0),
+        (r_vert[slack], layers * N + jobs[slack] - 1, -dj[slack]),
+        (m - 1, gamma * N + t, 1.0),
+    )
+    arc_names = [f"{lab[i]}_{lab[j]}" for i, j in g.arcs]
+    names = [f"lay{gam}_arc_{a}" for gam in range(layers) for a in arc_names]
+    names += [f"lay{gam}_dev_{a}" for gam in range(gamma) for a in arc_names]
+    names += [f"vert{gam}_{j}" for j in g.jobs for gam in range(gamma)]
+    names.append("deadline")
+    lo = np.concatenate(
+        [np.tile(g.p[ai], layers), np.tile(g.p[ai] + dev[ai], gamma), -dj, [-np.inf]]
+    )
+    hi = np.full(m, np.inf)
+    hi[-1] = M
+    model.add_rows(A, lo, hi, names)
     _objective(model, inst)
     return model
 
@@ -347,13 +415,13 @@ def add_chvatal_rows(
     solver, not as rows, so a built model's relaxation stays its own.
     Returns the number of rows added.
     """
-    added = 0
-    for j in inst.graph.jobs:
-        b = chvatal_bound(inst, l0, ld, j)
-        if b == 0:
-            model.add_row({f"h_{j}": 1.0}, "<=", 0.0, name=f"round_h_{j}")
-            added += 1
-    return added
+    jobs = [j for j in inst.graph.jobs if chvatal_bound(inst, l0, ld, j) == 0]
+    A = _block(
+        (len(jobs), model.n_vars),
+        (np.arange(len(jobs)), [model.var_index(f"h_{j}") for j in jobs], 1.0),
+    )
+    model.add_rows(A, -np.inf, 0.0, [f"round_h_{j}" for j in jobs])
+    return len(jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -654,9 +722,7 @@ def dom_lay_premise(inst: Instance) -> bool:
     g = inst.graph
     D = _deviated_paths(g, _layer_data(inst)[0])[1]
     l0, ld = _matrices(inst, None, None)
-    for i, j in l0.pairs():
-        if j == g.t or i == g.t:
-            continue
-        if float(D[j]) < float(ld.values[i, j]) - float(l0.values[i, j]) - 1e-9:
-            return False
-    return True
+    pairs = l0.reach[:, : g.t]  # head j a job: s is no head, t no tail
+    with np.errstate(invalid="ignore"):  # -inf - -inf off reachability
+        short = D[: g.t] < ld.values[:, : g.t] - l0.values[:, : g.t] - 1e-9
+    return not np.any(pairs & short)

@@ -1,7 +1,12 @@
 """Linear-model container, dense-simplex LP solver, and binary branch and cut.
 
 The model is a plain container: variables with finite bounds (optionally
-binary), rows ``coefs {<=,>=,=} rhs``, and one linear objective.  The LP
+binary), rows ``coefs {<=,>=,=} rhs``, and one linear objective.  It is
+stored as the arrays the simplex reads: the column bounds and binary mask,
+one dense row block A with the bounds of each row's logical, and the cost
+vector.  Builders append their rows as one block (``add_rows``); cuts and
+parsed files append one row at a time (``add_row``) to the same block, and
+the ``rows`` and ``variables`` views name them on demand.  The LP
 solver is a bounded dual simplex on a dense tableau of ``A x - s = 0``:
 bounds stay on the variables (a branch fixes a binary by setting lb = ub),
 each row's logical s carries the bounds of its sense, and the all-logical
@@ -58,6 +63,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import re
 import time
 from dataclasses import dataclass
@@ -134,41 +140,131 @@ class SolveResult:
     root_value: float = np.nan
 
 
+class _View(Sequence):
+    """Read-only sequence of a model's columns or rows, built on demand."""
+
+    def __init__(self, size: Callable[[], int], item: Callable[[int], object]):
+        self._size, self._item = size, item
+
+    def __len__(self) -> int:
+        return self._size()
+
+    def __getitem__(self, k):
+        k = range(len(self))[k]
+        if isinstance(k, range):
+            return [self._item(i) for i in k]
+        return self._item(k)
+
+
 class MipModel:
-    """Mutable linear model with finite-bound variables and binary flags."""
+    """Mutable linear model stored as arrays, with finite-bound columns.
+
+    Columns are names, lb, ub and a binary mask.  Rows are one dense block A
+    (a row per constraint, a column per variable), the bounds of each row's
+    logical s with ``A x - s = 0`` (``<=`` gives (-inf, rhs], ``>=`` gives
+    [rhs, inf) and ``=`` gives [rhs, rhs]) and the row names.  ``add_vars``
+    and ``add_rows`` append in bulk; ``add_var``, ``add_binary`` and
+    ``add_row`` are their one-item forms.  The block keeps spare rows, so
+    rows added one at a time (cuts, a parsed file) cost amortized O(n) each.
+    ``variables`` and ``rows`` are read-only sequences that build their
+    ``Variable`` and ``Row`` items on demand.
+    """
 
     def __init__(self, name: str = "model"):
         self.name = name
-        self.variables: list[Variable] = []
-        self.rows: list[Row] = []
         self.objective: dict[str, float] = {}
         self.maximize: bool = True
         self._index: dict[str, int] = {}
-        self._form_cache = None
+        self._names: list[str] = []
+        self._lb = np.zeros(0)
+        self._ub = np.zeros(0)
+        self._binary = np.zeros(0, dtype=bool)
+        self._c = np.zeros(0)
+        # rows [:_m] of these are the model's; the rest is spare capacity
+        self._A = np.zeros((0, 0))
+        self._rlo = np.zeros(0)
+        self._rhi = np.zeros(0)
+        self._m = 0
+        self._row_names: list[str] = []
+        self.variables: Sequence[Variable] = _View(lambda: len(self._names), self._variable)
+        self.rows: Sequence[Row] = _View(lambda: self._m, self._row)
 
     # -- construction -------------------------------------------------------
+
+    def add_vars(self, names: Sequence[str], lb=0.0, ub=1.0, binary=False) -> None:
+        """Append columns, checking them all first.
+
+        ``lb``, ``ub`` and ``binary`` are scalars or one value per name.
+        """
+        k = len(names)
+        lb, ub = np.full(k, lb, dtype=float), np.full(k, ub, dtype=float)
+        binary = np.full(k, binary, dtype=bool)
+        if not all(map(_NAME_RE.match, names)):
+            bad = next(nm for nm in names if not _NAME_RE.match(nm))
+            raise ValueError(f"variable name {bad!r} must match [A-Za-z0-9_]")
+        if len(set(names)) < k or not self._index.keys().isdisjoint(names):
+            dup = next(nm for i, nm in enumerate(names)
+                       if nm in self._index or nm in names[:i])
+            raise ValueError(f"duplicate variable {dup!r}")
+        for bad, why in (
+            (~(np.isfinite(lb) & np.isfinite(ub)), "needs finite bounds"),
+            (lb > ub, "has lb > ub"),
+            (((lb < 0) | (ub > 1)) & binary, "is binary with bounds outside [0,1]"),
+        ):
+            if bad.any():
+                raise ValueError(f"variable {names[int(np.argmax(bad))]!r} {why}")
+        n = len(self._names)
+        self._index.update(zip(names, range(n, n + k)))
+        self._names.extend(names)
+        self._lb = np.concatenate([self._lb, lb])
+        self._ub = np.concatenate([self._ub, ub])
+        self._binary = np.concatenate([self._binary, binary])
+        self._c = np.concatenate([self._c, np.zeros(k)])
+        self._A = np.hstack([self._A, np.zeros((len(self._A), k))])
 
     def add_var(
         self, name: str, lb: float = 0.0, ub: float = 1.0, binary: bool = False
     ) -> str:
-        if not _NAME_RE.match(name):
-            raise ValueError(f"variable name {name!r} must match [A-Za-z0-9_]")
-        if name in self._index:
-            raise ValueError(f"duplicate variable {name!r}")
-        lb, ub = float(lb), float(ub)
-        if not (np.isfinite(lb) and np.isfinite(ub)):
-            raise ValueError(f"variable {name!r} needs finite bounds")
-        if lb > ub:
-            raise ValueError(f"variable {name!r} has lb {lb} > ub {ub}")
-        if binary and (lb < 0 or ub > 1):
-            raise ValueError(f"binary variable {name!r} must have bounds within [0,1]")
-        self._index[name] = len(self.variables)
-        self.variables.append(Variable(name, lb, ub, binary))
-        self._form_cache = None
+        self.add_vars([name], lb, ub, binary)
         return name
 
     def add_binary(self, name: str) -> str:
         return self.add_var(name, 0.0, 1.0, binary=True)
+
+    def add_rows(self, A, lo, hi, names: Sequence[str]) -> None:
+        """Append the rows lo <= A x <= hi, checking them all first.
+
+        A is dense, a column per variable; ``lo`` and ``hi`` are scalars or
+        one value per row.  Each row has one finite side, or lo = hi
+        (``<=``, ``>=`` or ``=``).
+        """
+        A = np.asarray(A, dtype=float)
+        k = len(A)
+        lo, hi = np.full(k, lo, dtype=float), np.full(k, hi, dtype=float)
+        if A.shape != (k, self.n_vars) or len(names) != k:
+            raise ValueError(f"{k} rows need a {k} x {self.n_vars} block and {k} names")
+        if not np.isfinite(A).all():
+            raise ValueError("non-finite coefficient")
+        ok = ((lo == -np.inf) & np.isfinite(hi)) | ((hi == np.inf) & np.isfinite(lo))
+        if not (ok | (lo == hi) & np.isfinite(lo)).all():
+            raise ValueError("each row needs one finite side or lo = hi")
+        self._append(A, lo, hi, names)
+
+    def _append(self, A, lo, hi, names) -> None:
+        """Store checked rows, doubling the block when it is full."""
+        m, k = self._m, len(A)
+        if m + k > len(self._A):
+            grown = max(m + k, 2 * len(self._A))
+            A_new = np.zeros((grown, self.n_vars))
+            A_new[:m] = self._A[:m]
+            self._A = A_new
+            self._rlo = np.concatenate([self._rlo[:m], np.zeros(grown - m)])
+            self._rhi = np.concatenate([self._rhi[:m], np.zeros(grown - m)])
+        np.add(A, 0.0, out=self._A[m : m + k])  # stores -0.0 as 0.0
+        self._rlo[m : m + k] = lo
+        self._rhi[m : m + k] = hi
+        self._m = m + k
+        self._row_names.extend(names)
 
     def add_row(
         self,
@@ -179,79 +275,79 @@ class MipModel:
     ) -> int:
         if sense not in ("<=", ">=", "="):
             raise ValueError(f"row sense must be <=, >= or =, got {sense!r}")
-        clean: dict[str, float] = {}
+        a = np.zeros(self.n_vars)
         for var, c in coefs.items():
             if var not in self._index:
                 raise ValueError(f"row references unknown variable {var!r}")
             c = float(c)
-            if not np.isfinite(c):
+            if not math.isfinite(c):
                 raise ValueError(f"non-finite coefficient on {var!r}")
-            if c != 0.0:
-                clean[var] = c
+            a[self._index[var]] = c
         rhs = float(rhs)
-        if not np.isfinite(rhs):
+        if not math.isfinite(rhs):
             raise ValueError("non-finite rhs")
         if name is None:
-            name = f"c{len(self.rows)}"
-        self.rows.append(Row(name, clean, sense, rhs))
-        return len(self.rows) - 1
+            name = f"c{self._m}"
+        lo = -np.inf if sense == "<=" else rhs
+        hi = np.inf if sense == ">=" else rhs
+        self._append(a[None], lo, hi, [name])
+        return self._m - 1
 
     def set_objective(self, coefs: Mapping[str, float], maximize: bool = True):
-        for var, c in coefs.items():
+        coefs = {var: float(coef) for var, coef in coefs.items()}
+        for var, coef in coefs.items():
             if var not in self._index:
                 raise ValueError(f"objective references unknown variable {var!r}")
-            if not np.isfinite(float(c)):
+            if not math.isfinite(coef):
                 raise ValueError(f"non-finite objective coefficient on {var!r}")
-        self.objective = {v: float(c) for v, c in coefs.items() if float(c) != 0.0}
+        self.objective = {var: coef for var, coef in coefs.items() if coef != 0.0}
+        self._c = np.zeros(self.n_vars)
+        self._c[[self._index[var] for var in self.objective]] = list(self.objective.values())
         self.maximize = bool(maximize)
-        self._form_cache = None
 
     # -- views ---------------------------------------------------------------
+
+    def _variable(self, k: int) -> Variable:
+        return Variable(
+            self._names[k], float(self._lb[k]), float(self._ub[k]), bool(self._binary[k])
+        )
+
+    def _row(self, k: int) -> Row:
+        a = self._A[k]
+        coefs = {self._names[j]: float(a[j]) for j in np.flatnonzero(a).tolist()}
+        lo, hi = float(self._rlo[k]), float(self._rhi[k])
+        if lo == -np.inf:
+            return Row(self._row_names[k], coefs, "<=", hi)
+        if hi == np.inf:
+            return Row(self._row_names[k], coefs, ">=", lo)
+        return Row(self._row_names[k], coefs, "=", lo)
 
     def var_index(self, name: str) -> int:
         return self._index[name]
 
     @property
     def n_vars(self) -> int:
-        return len(self.variables)
+        return len(self._names)
 
     def binaries(self) -> list[int]:
-        return [i for i, v in enumerate(self.variables) if v.binary]
+        return np.flatnonzero(self._binary).tolist()
 
     def _standard_form(self):
-        """Cached ``A x - s = 0`` data: A, the bounds of [x, s], and costs.
+        """The stored ``A x - s = 0`` data: A, the bounds of [x, s], and costs.
 
-        Each row's logical s is bounded by its sense: ``<=`` gives
-        (-inf, rhs], ``>=`` gives [rhs, inf) and ``=`` gives [rhs, rhs].
-        Rows added since the last call are appended to the cached arrays; a
-        new variable or objective clears the cache, and the next call builds
-        every row through the same append.
+        A and the costs are the model's own arrays, not copies; lo and hi
+        are fresh, the column bounds followed by those of the row logicals.
         """
-        if self._form_cache is None:
-            lo = np.array([v.lb for v in self.variables], dtype=float)
-            hi = np.array([v.ub for v in self.variables], dtype=float)
-            A = np.zeros((0, len(self.variables)))
-            self._form_cache = (A, lo, hi, self.objective_vector())
-        A, lo, hi, c = self._form_cache
-        new = self.rows[len(A):]
-        if new:
-            block = np.zeros((len(new), A.shape[1]))
-            for k, row in enumerate(new):
-                for var, coef in row.coefs.items():
-                    block[k, self._index[var]] = coef
-            lo_s = [-np.inf if row.sense == "<=" else row.rhs for row in new]
-            hi_s = [np.inf if row.sense == ">=" else row.rhs for row in new]
-            self._form_cache = (
-                np.vstack([A, block]), np.concatenate([lo, lo_s]),
-                np.concatenate([hi, hi_s]), c,
-            )
-        return self._form_cache
+        m = self._m
+        return (
+            self._A[:m],
+            np.concatenate([self._lb, self._rlo[:m]]),
+            np.concatenate([self._ub, self._rhi[:m]]),
+            self._c,
+        )
 
     def objective_vector(self) -> np.ndarray:
-        c = np.zeros(len(self.variables))
-        for var, coef in self.objective.items():
-            c[self._index[var]] = coef
-        return c
+        return self._c.copy()
 
     def max_violation(self, x: np.ndarray) -> float:
         """Largest bound or row violation of x, in variable order (0 if feasible).
@@ -395,9 +491,8 @@ def _simplex(model: MipModel, fixes: dict[int, float] | None, start=None):
     ``WarmStart`` of this solve (both None unless Optimal).  Raises
     NumericalFailure when the pivot limit is exhausted.
     """
-    A, lo, hi, c = model._standard_form()
+    A, lo, hi, c = model._standard_form()  # lo and hi are fresh copies
     m, n = A.shape
-    lo, hi = lo.copy(), hi.copy()
     if fixes:
         for idx, val in fixes.items():
             if val < lo[idx] - FEAS_TOL or val > hi[idx] + FEAS_TOL:
@@ -453,7 +548,7 @@ def _lp(model: MipModel, fixes=None, start=None):
 
 def _named(model: MipModel, x: np.ndarray) -> dict[str, float]:
     """The {name: value} form of a vector in model variable order."""
-    return dict(zip((v.name for v in model.variables), x.tolist()))
+    return dict(zip(model._names, x.tolist()))
 
 
 def solve_lp(model: MipModel) -> SolveResult:
@@ -693,12 +788,10 @@ def _fmt(x: float) -> str:
     return "%.12g" % x
 
 
-def _expr(coefs: Mapping[str, float], order: Sequence[str]) -> str:
+def _expr(terms: Iterable[tuple[str, float]]) -> str:
+    """The sum of (name, coefficient) terms, in the order given."""
     parts = []
-    for name in order:
-        if name not in coefs:
-            continue
-        c = coefs[name]
+    for name, c in terms:
         if not parts:
             parts.append(f"{_fmt(c)} {name}")
         elif c >= 0:
@@ -710,13 +803,13 @@ def _expr(coefs: Mapping[str, float], order: Sequence[str]) -> str:
 
 def export_lp_file(model: MipModel, destination) -> None:
     """Write the model in textual LP format (round-trip stable)."""
-    order = [v.name for v in model.variables]
+    obj = model.objective
     lines = [f"\\ Problem: {model.name}"]
     lines.append("Maximize" if model.maximize else "Minimize")
-    lines.append(f" obj: {_expr(model.objective, order)}".rstrip())
+    lines.append(f" obj: {_expr((v, obj[v]) for v in model._names if v in obj)}".rstrip())
     lines.append("Subject To")
-    for row in model.rows:
-        lines.append(f" {row.name}: {_expr(row.coefs, order)} {row.sense} {_fmt(row.rhs)}")
+    for row in model.rows:  # coefs come in column order
+        lines.append(f" {row.name}: {_expr(row.coefs.items())} {row.sense} {_fmt(row.rhs)}")
     lines.append("Bounds")
     for v in model.variables:
         if not v.binary:

@@ -117,6 +117,25 @@ def pair_row_implied(l0, ld, sink, i, j):
     return bool(np.any(tight & (gain_kj >= gain_ij - 1e-9)))
 
 
+def dom_lay_premise_pairs(inst):
+    """``dom_lay_premise`` decided one comparable pair at a time.
+
+    False as soon as a pair (i, j) with head job j has D_j below its
+    tightening LD(i, j) - L0(i, j) by more than 1e-9.
+    """
+    from anchorsched.formulations import _deviated_paths, _layer_data, _matrices
+
+    g = inst.graph
+    D = _deviated_paths(g, _layer_data(inst)[0])[1]
+    l0, ld = _matrices(inst, None, None)
+    for i, j in l0.pairs():
+        if j == g.t or i == g.t:
+            continue
+        if float(D[j]) < float(ld.values[i, j]) - float(l0.values[i, j]) - 1e-9:
+            return False
+    return True
+
+
 def recourse_ok(g, dev, x, anchored, tol=1e-9):
     """Can the deviated graph be scheduled keeping the anchored starts?
 

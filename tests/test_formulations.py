@@ -1,5 +1,7 @@
 """Model builders, relaxation bounds, rounded bounds, chain separation."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,13 @@ from anchorsched.formulations import (
 from anchorsched.milp import _lp
 
 from .conftest import five_job_graph
-from .oracles import pair_row_implied, path_longest, random_dag, random_instance
+from .oracles import (
+    dom_lay_premise_pairs,
+    pair_row_implied,
+    path_longest,
+    random_dag,
+    random_instance,
+)
 
 
 def _assert_decoded(inst, ld, sol):
@@ -97,6 +105,26 @@ def test_dom_lay_premise_and_bound(chain3):
         meta={},
     )
     assert not asd.dom_lay_premise(inst)
+
+
+def test_dom_lay_premise_matches_the_pair_loop():
+    # integer data, and data in tenths, whose sums round so that the 1e-9
+    # slack decides some pairs
+    rng = np.random.default_rng(61)
+    outcomes = []
+    for trial in range(80):
+        inst = random_instance(rng, int(rng.integers(2, 14)), "budget")
+        if trial % 2:
+            g, d = inst.graph, inst.delta
+            inst = asd.Instance(
+                asd.PrecedenceGraph(g.n, g.arcs, 0.1 * g.p[1 : g.n + 1]),
+                asd.Budgeted(tuple(0.1 * x for x in d.dhat), d.gamma),
+                0.1 * inst.deadline, inst.weights,
+            )
+        got = asd.dom_lay_premise(inst)
+        assert got == dom_lay_premise_pairs(inst), trial
+        outcomes.append(got)
+    assert 5 <= outcomes.count(False) <= 75  # both outcomes seen
 
 
 def test_chvatal_bound_golden(fig_box):
@@ -470,7 +498,8 @@ def test_pair_row_reduction_preserves_polytope(monkeypatch):
 
 
 def test_implied_heads_match_the_pair_rule():
-    # the per-tail reduction of build_dom decides every pair as the per-pair rule
+    # the reduction of build_dom, over a block of every tail at once, decides
+    # every pair as the per-pair rule
     rng = np.random.default_rng(47)
     kinds = ("box", "budget", "partition", "mixed", "scenarios")
     decided = implied = 0
@@ -478,14 +507,48 @@ def test_implied_heads_match_the_pair_rule():
         inst = random_instance(rng, int(rng.integers(2, 10)), kinds[trial % 5])
         g = inst.graph
         l0, ld = _matrices(inst, None, None)
+        block = _implied_heads(l0, ld, g.t, np.arange(g.t))
         for i in range(g.t):
-            got = _implied_heads(l0, ld, g.t, i)
+            got = block[i]
             for j in np.flatnonzero(l0.reach[i]):
                 want = pair_row_implied(l0, ld, g.t, i, int(j))
                 assert got[j] == want, (trial, i, j)
                 decided += 1
                 implied += want
     assert implied >= 100 and decided - implied >= 100  # both outcomes seen
+
+
+def test_implied_heads_blocks_build_the_default_model(monkeypatch):
+    # tails in blocks of one (the guard at its minimum) or of a few build
+    # the same dom model as the default, which here is a single block
+    import anchorsched.formulations as fm
+
+    rng = np.random.default_rng(59)
+    kinds = ("box", "budget", "one", "partition", "mixed", "scenarios")
+    calls = []
+    real = fm._implied_heads
+    monkeypatch.setattr(fm, "_implied_heads", lambda *a: calls.append(1) or real(*a))
+    split = 0
+    for trial in range(24):
+        n = int(rng.integers(2, 61)) if trial % 4 else 60
+        inst = random_instance(rng, n, kinds[trial % 6])
+        l0, ld = _matrices(inst, None, None)
+        calls.clear()
+        want = asd.build_dom(inst, l0, ld)
+        assert len(calls) == 1
+        for cells in (0, 8 * (n + 1) ** 2):
+            with monkeypatch.context() as mp:
+                mp.setattr(fm, "IMPLIED_CELLS", cells)
+                calls.clear()
+                got = asd.build_dom(inst, l0, ld)
+            if cells == 0:
+                assert len(calls) == n + 1, trial  # one tail per block
+            else:
+                split += 1 < len(calls) < n + 1
+            assert _model_key(got) == _model_key(want), (trial, cells)
+            for a, b in zip(got._standard_form(), want._standard_form(), strict=True):
+                assert a.tobytes() == b.tobytes(), (trial, cells)
+    assert split >= 12  # the middle guard made blocks of several tails
 
 
 def _height_by_paths(g, dhat):
@@ -558,3 +621,112 @@ def test_lay_caps_budget_at_path_height(monkeypatch):
         assert lp_c.status == lp_u.status == "Optimal"
         assert lp_c.value == pytest.approx(lp_u.value, abs=1e-7)
     assert above >= 10 and below >= 5  # both sides of the cap were exercised
+
+
+_GOLDEN_KINDS = ("box", "budget", "one", "partition", "mixed", "scenarios")
+
+
+def _golden_models():
+    """(key, model) for every golden build: std and dom on all six set kinds,
+    lay on the budgeted ones, both graph families, n = 8 and 20; the
+    processing class cycles with the kind and every fourth job has no
+    deviation, so zero lengths and zero slacks (signed zeros) are in."""
+    for family in ("ER", "SP"):
+        for n in (8, 20):
+            for k, kind in enumerate(_GOLDEN_KINDS):
+                proc = ("pZero", "pRand", "pQCri")[k % 3]
+                base = asd.make_instance(f"{family}_{proc}_dRand_G2", n, 0)
+                dhat = tuple(0.0 if j % 4 == 3 else d for j, d in enumerate(base.delta.dhat))
+                half = (tuple(range(1, n // 2 + 1)), tuple(range(n // 2 + 1, n + 1)))
+                delta = {
+                    "box": asd.Box(dhat),
+                    "budget": asd.Budgeted(dhat, 2),
+                    "one": asd.OneDisruption(max(dhat)),
+                    "partition": asd.PartitionBudgeted(dhat, half, (1, 2)),
+                    "mixed": asd.MixedBudgeted(
+                        (asd.Budgeted(dhat, 1), asd.Budgeted(tuple(0.2 * d for d in dhat), n))
+                    ),
+                    "scenarios": asd.Scenarios((dhat, dhat[::-1], dhat[1:] + dhat[:1])),
+                }[kind]
+                inst = asd.Instance(base.graph, delta, base.deadline, base.weights)
+                for which in ("std", "dom", "lay"):
+                    if which == "lay" and kind not in ("budget", "one"):
+                        continue
+                    yield f"{family}_{proc}_{kind}_n{n}_{which}", _build(inst, which)[0]
+
+
+def _model_digest(model, path):
+    """sha256 of the exported LP text and the bytes of the standard form."""
+    asd.export_lp_file(model, path)
+    digest = hashlib.sha256(path.read_bytes())
+    for a in model._standard_form():
+        digest.update(np.ascontiguousarray(a).tobytes())
+    return digest.hexdigest()
+
+
+# sha256 of ``_model_digest`` for every ``_golden_models`` build, taken from
+# the row-by-row builders that preceded the array ones
+_GOLDEN_DIGESTS = {
+    "ER_pZero_box_n8_std": "83dfaab540793afa670e31458dea5f0f585893954960e0c5826d2f34c575e945",
+    "ER_pZero_box_n8_dom": "2a2d87e65961151ba753b02a88e1069c069d379aee11cd6ef0c4b62b3de5c748",
+    "ER_pRand_budget_n8_std": "0c219a9e13a3329ed7ae46128c9c14a5446dd0fa10e341880af32afba584638b",
+    "ER_pRand_budget_n8_dom": "531c19a308296c1161178ec0bce02a10e25b4de1067560080d3a929e72a88b58",
+    "ER_pRand_budget_n8_lay": "2348dacb51f8745b4b3a3c7ea3c03dcad47d47e48c73fc948fa0a0e7bb64d38e",
+    "ER_pQCri_one_n8_std": "c4eafabbde8c4aae45631eeb1675e31f665917b71bc325fa242c2aff90ccdc96",
+    "ER_pQCri_one_n8_dom": "fe610aed7399a1192f8d935a2c79a602191ea7a7fd8412bc7ddcd1318b7b8137",
+    "ER_pQCri_one_n8_lay": "2d97eafed8f69044a71650f1f532c8252b84c57328cebe6b7486e8988e6898fb",
+    "ER_pZero_partition_n8_std": "79de522106d737afefe479c0cf5830d4483cbf0f3858e5faf5faf9cdc4b7df57",
+    "ER_pZero_partition_n8_dom": "89f8ed1dc13c28a47e709e6f988705e65144153b951c6612c26c842aeca4398c",
+    "ER_pRand_mixed_n8_std": "aea08c842f1e4b1de4bc89c6b46a4730688e537a98df331426d8d4e8a50a8154",
+    "ER_pRand_mixed_n8_dom": "750af7007b18a40a8ae4892f1a0a401953bdd1efe6b8582958b7758684df0069",
+    "ER_pQCri_scenarios_n8_std": "c68ac57d1d7a96c73554f7416155db1b55041d773cb4176a1d4563c9d6f7914a",
+    "ER_pQCri_scenarios_n8_dom": "7431513bb838a37d585ec7390b4a4ec1106e4c53dcddb4fa77778c18879b5fa5",
+    "ER_pZero_box_n20_std": "79c638aa92e71f00027b6ed7b9a282c92743536e5229d0007e32bd716d7405ea",
+    "ER_pZero_box_n20_dom": "0dbdafcbaef731e7ff5f68f5bf4a94d0836b275859021d0634e91594612f3364",
+    "ER_pRand_budget_n20_std": "5e05687eae619653505da3354ffe4d36cccb76c25e53bcc4052eb4f7047ac531",
+    "ER_pRand_budget_n20_dom": "2ecf119f22b633b07ff71cd618de00e2d2f3120bf2921a936da75042b6ce068c",
+    "ER_pRand_budget_n20_lay": "044fa0db6e46cf353278043ece0cd2b9edf3df52f35da4b8b05a6e16c768ba51",
+    "ER_pQCri_one_n20_std": "04990b1c545c755c9ad8fb195e418ac322b9fc25985eeddc9a848094f9cb7f8c",
+    "ER_pQCri_one_n20_dom": "69e324788a06a535e1cef91d26efdcdd19189f1a449aa138c95e41e33dc5d8d0",
+    "ER_pQCri_one_n20_lay": "b718f0fd1de76b502210bc8b2d3017d3a1268a69aa0e3238c331c934205d9dee",
+    "ER_pZero_partition_n20_std": "f38fa9c5fbdc992f2b746b301228d0a36f89eaf71ee920173a234106d14c8951",
+    "ER_pZero_partition_n20_dom": "f7a4d53943bc92718eaff31f762492de99a7b24ebbb56da47f2f36b9c38a87a0",
+    "ER_pRand_mixed_n20_std": "1fd9565f93637a098a36c68cd5717a1630603a274fb9623f358a0363fc74a266",
+    "ER_pRand_mixed_n20_dom": "1c16cbd8808bdb0c22e0f2edaf83acc85beedeabf4682043e8dd41c914b7f786",
+    "ER_pQCri_scenarios_n20_std": "d5cb90c46f9c2c4a8fc87adf4407a272c2c6f414f73bf8e5e84012e17e49f0ca",
+    "ER_pQCri_scenarios_n20_dom": "7d7dd0b5c129ba08cfa2981c088cf0708b937e277f2e47eba62c1ac1d5997a34",
+    "SP_pZero_box_n8_std": "9f27d3c0d105039421a4c9234bb55bca8e721c398d41f4fd4c87915deeeac532",
+    "SP_pZero_box_n8_dom": "3cbb8abf9e49902cd2299477a144345cc2115db1df44fa8618fd6bb779c208bf",
+    "SP_pRand_budget_n8_std": "8170f893e1ba093f17c5abfb8bcc105024b8380cabda85dfcbf3cf367373dd1c",
+    "SP_pRand_budget_n8_dom": "60a6f1a519aaebbded421decdd0919f8a47fe65062051ed768120faedbe20110",
+    "SP_pRand_budget_n8_lay": "15bc874e76f52ea18d896637614feb0c3903e419f2138f792280af362ca92acd",
+    "SP_pQCri_one_n8_std": "f9249d0eca7600dc69efe669154c4c525581160eefc72db9c6e41836c41b0bc0",
+    "SP_pQCri_one_n8_dom": "3625cab8ed98130e7174a31eb009eca6d35648c3ca9370d001923654389eeebc",
+    "SP_pQCri_one_n8_lay": "b361b65f59d476da9ff77aa860056ffa9a33afac0105cedb7de8f430c42a025e",
+    "SP_pZero_partition_n8_std": "542f8b27e1eaa9f57c4a90bb5c77031614c04c637b72fe3fa526556fb07487fc",
+    "SP_pZero_partition_n8_dom": "82fb1eb34afbc6bc771b89fb04a118ff642b5e0390862368b5ae7c712826c8bd",
+    "SP_pRand_mixed_n8_std": "7b972c7079d62326439db7c8bb173e2e3382083d1bb89be4dbcfe6ab98f77ccb",
+    "SP_pRand_mixed_n8_dom": "5fe092bcf440d1c26e3f5dd5d6368d1b90ea5d0b08371facd56827e383673123",
+    "SP_pQCri_scenarios_n8_std": "9fd35d34f5c5404813565ef51c11f3853e89fd1c7159c80f391452cc679d232d",
+    "SP_pQCri_scenarios_n8_dom": "7fc43e0f9a70af5a87143053006589ca902ea155073e41ddc7b29ae772f62387",
+    "SP_pZero_box_n20_std": "e7a812ae9338197fb242e2c3aa4f490e876a91031ef60cb92c3c9b72efda33e9",
+    "SP_pZero_box_n20_dom": "b1dd285a66f72da1d99c4115d206e34591bf3fc452269f80495a83c6e52dbcde",
+    "SP_pRand_budget_n20_std": "eb909f2a180c56f788999cf6576ba81cca86b713806aebccd2432a7f92dd1d06",
+    "SP_pRand_budget_n20_dom": "3bed77010bd7301d7ba2484153aa778439db7aed8f3e8959c4c405650c469ad4",
+    "SP_pRand_budget_n20_lay": "017740080c708799cd4d3c312b5ac18a93d8193b1943cfad6b6ace05f9b6096e",
+    "SP_pQCri_one_n20_std": "4ea0b3a19e6fa3fea21d204cec0988cddd09b61cc05f67848aa8b07a1ce3ac9a",
+    "SP_pQCri_one_n20_dom": "9e76dccd74c8c268f1d869790ff120d23ffaac073e3c17866fe6b2dd02e0bdb7",
+    "SP_pQCri_one_n20_lay": "27f5dfdbb87c674ffa6b81a28f21cf623110fc48600fb265cad369df97f4cf1c",
+    "SP_pZero_partition_n20_std": "49d2f3a2381555439e903b195a74b7f78a8792a8d0f0794b806537b8ea9830bd",
+    "SP_pZero_partition_n20_dom": "3e8ad4ef32735aec3e5801f1fdd713a9420e369101d1ccb2b1447b4c96dc93dd",
+    "SP_pRand_mixed_n20_std": "d69134f97f7f82f29d9e3799cdff8a30339b3b7447416797b69d641b014fa08e",
+    "SP_pRand_mixed_n20_dom": "968fa9d347dbe4d60f3255d30a07d459561041ef85ee90b01cae967c93214355",
+    "SP_pQCri_scenarios_n20_std": "bf3118a38f3240af48d81e20d74e26fb3815ec4fb45e69ce299bc56732d99c5f",
+    "SP_pQCri_scenarios_n20_dom": "8bca5dc97468831f1bfc47a15eda06bcb87eca2b8e330fc971c342b36f78a208",
+}
+
+
+def test_models_match_their_golden_digests(tmp_path):
+    # any moved coefficient, name, row order, bound or signed zero shows
+    got = {key: _model_digest(model, tmp_path / "m.lp") for key, model in _golden_models()}
+    assert got == _GOLDEN_DIGESTS

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import anchorsched as asd
-from anchorsched.milp import MipModel, SolveParams, _lp, _simplex, _tableau
+from anchorsched.milp import MipModel, SolveParams, Variable, _lp, _simplex, _tableau
 
 from .conftest import five_job_graph
 from .oracles import max_violation
@@ -35,6 +35,47 @@ def test_model_validation():
         m.add_row({"missing": 1.0}, "<=", 1.0)
     with pytest.raises(ValueError):
         m.add_row({"x": 1.0}, "!=", 1.0)
+
+
+def test_bulk_columns_and_rows():
+    # add_vars and add_rows take arrays, check them all before storing any,
+    # and the views read them back as one-at-a-time construction would
+    m = MipModel()
+    m.add_vars(["x", "y", "b"], 0.0, [2.0, 3.0, 1.0], binary=[False, False, True])
+    assert m.variables[:] == [
+        Variable("x", 0.0, 2.0, False),
+        Variable("y", 0.0, 3.0, False),
+        Variable("b", 0.0, 1.0, True),
+    ]
+    for names, lb, ub, binary in (
+        (["z", "z"], 0.0, 1.0, False), (["z", "x"], 0.0, 1.0, False),
+        (["z", "bad name"], 0.0, 1.0, False), (["z"], 0.0, math.inf, False),
+        (["z"], 2.0, 1.0, False), (["z"], 0.0, 2.0, True),
+    ):
+        with pytest.raises(ValueError):
+            m.add_vars(names, lb, ub, binary)
+    assert m.n_vars == 3 and "z" not in m._index
+    A = np.array([[1.0, -0.0, 2.0], [0.0, 1.0, 0.0], [1.0, 1.0, 1.0]])
+    m.add_rows(A, [-np.inf, 1.0, -0.0], [4.0, np.inf, -0.0], ["a", "b", "c"])
+    one = MipModel()
+    one.add_var("x", 0.0, 2.0)
+    one.add_var("y", 0.0, 3.0)
+    one.add_binary("b")
+    one.add_row({"x": 1.0, "y": -0.0, "b": 2.0}, "<=", 4.0, name="a")
+    one.add_row({"y": 1.0}, ">=", 1.0, name="b")
+    one.add_row({"x": 1.0, "y": 1.0, "b": 1.0}, "=", -0.0, name="c")
+    assert m.rows[:] == one.rows[:] and m.rows[-1].coefs == {"x": 1.0, "y": 1.0, "b": 1.0}
+    for got, want in zip(m._standard_form(), one._standard_form(), strict=True):
+        assert got.tobytes() == want.tobytes()
+    assert not np.signbit(m._standard_form()[0]).any()  # -0.0 coefficients read as 0
+    for block, lo, hi, names in (
+        (A[:1, :2], 0.0, np.inf, ["d"]), (A[:1], 0.0, np.inf, []),
+        (A[:1] * np.nan, 0.0, np.inf, ["d"]), (A[:1], 0.0, 1.0, ["d"]),
+        (A[:1], -np.inf, np.inf, ["d"]), (A[:1], np.nan, np.nan, ["d"]),
+    ):
+        with pytest.raises(ValueError):
+            m.add_rows(block, lo, hi, names)
+    assert len(m.rows) == 3
 
 
 def _random_lp(rng, nvar, nrow, nbin=0):
@@ -74,8 +115,8 @@ def _random_lp(rng, nvar, nrow, nbin=0):
 
 
 def test_standard_form_appends_rows():
-    # rows added between calls are appended to the cached arrays, and a new
-    # variable or objective clears them; the arrays always equal a fresh
+    # rows added between calls, a variable added between rows and an
+    # objective set after a call: the stored arrays always equal a fresh
     # copy's and the dense form read off the rows
     rng = np.random.default_rng(29)
     for trial in range(60):
