@@ -51,12 +51,14 @@ from .errors import (
     UnsupportedUncertainty,
 )
 from .exact import (
+    METHODS,
     SolutionReport,
     preprocess_deadline,
     solve_auto,
     solve_box,
     solve_brute,
     solve_critical_one_disruption,
+    solve_method,
     solve_u_anchrob,
     tighten_deadline,
 )
@@ -144,6 +146,7 @@ __all__ = [
     "InstanceClassLabel",
     "InstanceTooLarge",
     "LongestPathMatrix",
+    "METHODS",
     "MipModel",
     "MissingCompanionDeviation",
     "MixedBudgeted",
@@ -210,6 +213,7 @@ __all__ = [
     "solve_dom_cuts",
     "solve_formulation",
     "solve_lp",
+    "solve_method",
     "solve_mip",
     "solve_u_anchrob",
     "tighten_deadline",

@@ -6,6 +6,8 @@ parse errors in files, labels, or command lines, 5 when the LP engine fails
 numerically (``NumericalFailure``, e.g. a node LP hits its pivot limit).
 ``bench`` records such a failure as the status of that run and goes on.
 
+``solve`` and ``bench`` name methods from ``exact.METHODS`` and solve each
+through ``exact.solve_method``; ``dom_cuts`` is the chain-cut branch and cut.
 The benchmark core is importable (``bench_paths`` / ``aggregate_bench``) so
 tests and scripts can run the same pipeline without spawning a process.
 """
@@ -19,14 +21,13 @@ import json
 import math
 import os
 import sys
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .anchored import Instance, is_x_anchored
+from .anchored import is_x_anchored
 from .errors import (
     AnchorSchedError,
     DeadlineInfeasible,
@@ -39,13 +40,7 @@ from .errors import (
     UnsupportedInstance,
     UnsupportedUncertainty,
 )
-from .exact import (
-    SolutionReport,
-    preprocess_deadline,
-    solve_auto,
-    solve_brute,
-    solve_method,
-)
+from .exact import METHODS, SolutionReport, preprocess_deadline, solve_method
 from .formulations import build
 from .graph import EPS, require_schedule
 from .milp import SolveParams, export_lp_file
@@ -74,11 +69,6 @@ _UNSUPPORTED = (
     EnumerationTooLarge,
     NotCritical,
 )
-
-#: the MIP formulations a method can name
-FORMULATIONS = ("std", "dom", "lay")
-#: every method of ``solve`` and ``bench``
-METHODS = ("auto", *FORMULATIONS, "brute")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -130,28 +120,6 @@ def cmd_generate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _solve_one(
-    inst: Instance,
-    method: str,
-    params: SolveParams,
-    cuts: bool,
-) -> SolutionReport:
-    if method == "auto":
-        return solve_auto(inst, params, cuts=cuts)
-    if method == "brute":
-        return solve_brute(preprocess_deadline(inst))
-    if method not in FORMULATIONS:
-        raise ParseError(f"unknown method {method!r}")
-    if method == "dom" and cuts:
-        method = "dom_cuts"
-    return solve_method(inst, method, params, time.perf_counter())
-
-
-def _check_cuts(cuts: bool, methods) -> None:
-    if cuts and any(m not in ("dom", "auto") for m in methods):
-        raise ParseError("--cuts applies only to the dom or auto methods")
-
-
 def _report_to_dict(report: SolutionReport) -> dict:
     out = {
         "method": report.method,
@@ -186,11 +154,10 @@ def _print_report(data: dict, pretty: bool, stream) -> None:
 def cmd_solve(args) -> int:
     inst = read_instance(args.instance)
     params = SolveParams(time_limit=args.time_limit)
-    _check_cuts(args.cuts, [args.method])
     if args.export_lp:
-        which = args.method if args.method in FORMULATIONS else "dom"
+        which = args.method if args.method in ("std", "lay") else "dom"
         export_lp_file(build(preprocess_deadline(inst), which), args.export_lp)
-    report = _solve_one(inst, args.method, params, args.cuts)
+    report = solve_method(inst, args.method, params)
     data = _report_to_dict(report)
     if args.out:
         Path(args.out).write_text(
@@ -232,12 +199,20 @@ def bench_task(
     time_limit: float,
     cuts: bool = False,
 ) -> BenchRecord:
-    """Solve one instance with one method and compute its relaxation gap."""
+    """Solve one instance with one method and compute its relaxation gap.
+
+    ``cuts=True`` is the benchmark harness's spelling of ``dom_cuts``: it
+    maps ``dom`` to ``dom_cuts`` and raises ParseError with any other method.
+    """
+    if cuts:
+        if method != "dom":
+            raise ParseError("cuts=True applies only to the dom method")
+        method = "dom_cuts"
     inst = read_instance(path)
     label = str(inst.meta.get("label", Path(path).stem))
     params = SolveParams(time_limit=time_limit)
     try:
-        report = _solve_one(inst, method, params, cuts)
+        report = solve_method(inst, method, params)
     except (*_UNSUPPORTED, DeadlineInfeasible, NumericalFailure) as exc:
         return BenchRecord(
             path=str(path), label=label, method=method,
@@ -246,7 +221,7 @@ def bench_task(
             lp_value=float("nan"), lp_gap=float("nan"),
         )
     lp_value = float("nan")
-    if report.solved and method in FORMULATIONS:
+    if report.solved and method != "auto":
         lp_value = report.root_value
     lp_gap = (lp_value - report.objective) / max(abs(report.objective), 1e-9)
     return BenchRecord(
@@ -264,7 +239,6 @@ def bench_paths(
     paths,
     methods,
     time_limit: float = 300.0,
-    cuts: bool = False,
     jobs: int = 1,
 ) -> list[BenchRecord]:
     """Run every (instance, method) pair, optionally across processes.
@@ -273,7 +247,7 @@ def bench_paths(
     regardless of worker scheduling.
     """
     tasks = [
-        (str(p), m, time_limit, cuts)
+        (str(p), m, time_limit)
         for p in sorted(str(p) for p in paths)
         for m in methods
     ]
@@ -370,8 +344,7 @@ def cmd_bench(args) -> int:
     for m in methods:
         if m not in METHODS:
             raise ParseError(f"unknown method {m!r}")
-    _check_cuts(args.cuts, methods)
-    records = bench_paths(paths, methods, args.time_limit, args.cuts, args.jobs)
+    records = bench_paths(paths, methods, args.time_limit, args.jobs)
     rows = aggregate_bench(records)
     text = bench_csv(rows)
     if args.out:
@@ -485,8 +458,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--method", default="auto",
                          choices=METHODS)
     p_solve.add_argument("--time-limit", type=float, default=300.0)
-    p_solve.add_argument("--cuts", action="store_true",
-                         help="solve in the indicator space with chain cuts")
     p_solve.add_argument("--export-lp", metavar="PATH",
                          help="also write the model in LP format")
     p_solve.add_argument("--out", metavar="PATH",
@@ -500,7 +471,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--methods", default="dom",
                          help=f"comma-separated subset of {','.join(METHODS)}")
     p_bench.add_argument("--time-limit", type=float, default=300.0)
-    p_bench.add_argument("--cuts", action="store_true")
     p_bench.add_argument("--jobs", type=int, default=1,
                          help="worker processes (default 1)")
     p_bench.add_argument("--out", metavar="PATH", help="write CSV here")

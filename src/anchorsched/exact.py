@@ -15,9 +15,11 @@ easy:
   suffices.  ``solve_u_anchrob`` is its zero-processing-time case: such a
   graph is critical with a zero nominal schedule.
 
-``solve_auto`` tries the routes above in order and falls back to the
-dominant-schedule MIP.  ``solve_method`` is the one MIP route, for every
-formulation; ``solve_auto`` and the CLI both call it.
+``solve_method`` is the one dispatch over the method names in ``METHODS``,
+which the CLI and ``solve_auto`` call: ``auto`` tries the routes above in
+order and falls back to the dominant-schedule MIP (``dom``); ``std``,
+``dom``, ``lay`` and ``dom_cuts`` (branch and cut on the chain-cut master)
+are the MIP routes, and ``brute`` enumerates subsets.
 
 ``tighten_deadline`` rounds the deadline down to the lattice
 L0(s,t) + k * dhat0; on critical graphs every achievable worst-case makespan
@@ -39,6 +41,7 @@ from .errors import (
     DeadlineInfeasible,
     NonIntegralVertex,
     NotCritical,
+    ParseError,
     UnsupportedInstance,
     UnsupportedUncertainty,
 )
@@ -262,16 +265,42 @@ def _report_mip(
     )
 
 
-def solve_method(
-    inst: Instance, method: str, params: SolveParams | None, t0: float
-) -> SolutionReport:
-    """The MIP route of one method: std, dom, lay or dom_cuts.
+#: every method name: the routing front end, the four MIP routes, enumeration
+METHODS = ("auto", "std", "dom", "lay", "dom_cuts", "brute")
 
-    Preprocesses the deadline, solves the formulation (``dom_cuts``: the
-    chain-cut master) and reports with the runtime counted from ``t0``, the
-    caller's start time.
+
+def solve_method(
+    inst: Instance,
+    method: str,
+    params: SolveParams | None = None,
+) -> SolutionReport:
+    """Solve with one method of ``METHODS``, the one dispatch over them.
+
+    ``auto`` routes as ``solve_auto`` describes.  Every other method
+    preprocesses the deadline first; ``brute`` then enumerates, ``dom_cuts``
+    solves the chain-cut master and std, dom and lay their formulation.
+    Raises ParseError for a name not in ``METHODS``.
     """
+    if method not in METHODS:
+        raise ParseError(f"unknown method {method!r}")
+    t0 = time.perf_counter()
+    if method == "auto":
+        if greatest_point(inst.delta) is not None:
+            sol = solve_box(inst)
+            return _report_exact("box", sol, time.perf_counter() - t0)
+        d0 = one_disruption_value(inst.delta, inst.graph.n)
+        if d0 is not None and d0 > EPS and is_critical(inst.graph):
+            route = "u_lp" if _zero_processing(inst.graph) else "critical_reduction"
+            try:
+                sol = solve_critical_one_disruption(inst)
+                return _report_exact(route, sol, time.perf_counter() - t0)
+            except NonIntegralVertex:
+                pass
+        method = "dom"
     work = preprocess_deadline(inst)
+    if method == "brute":
+        sol = brute_force_optimum(work)
+        return _report_exact("brute", sol, time.perf_counter() - t0)
     if method == "dom_cuts":
         res, sol, _ = solve_dom_cuts(work, params)
     else:
@@ -279,34 +308,18 @@ def solve_method(
     return _report_mip(method, res, sol, time.perf_counter() - t0)
 
 
-def solve_auto(
-    inst: Instance,
-    params: SolveParams | None = None,
-    cuts: bool = False,
-) -> SolutionReport:
+def solve_auto(inst: Instance, params: SolveParams | None = None) -> SolutionReport:
     """Route an instance to the cheapest exact method that fits it.
 
     Order: greatest-point sets go to ``solve_box``; critical graphs with a
     uniform disruption go through the affine reduction, whose one LP is
     exact (reported as ``u_lp`` when every processing time is zero, the
     reduction's zero-schedule case, else ``critical_reduction``); everything
-    else, and a reduction whose LP vertex is fractional, is solved by
-    ``solve_method`` as the dominant-schedule MIP, or with ``cuts`` as its
-    chain-cut master (``dom_cuts``).
+    else, and a reduction whose LP vertex is fractional, is solved as the
+    dominant-schedule MIP (``dom``).  The same as ``solve_method`` with
+    ``auto``.
     """
-    t0 = time.perf_counter()
-    if greatest_point(inst.delta) is not None:
-        sol = solve_box(inst)
-        return _report_exact("box", sol, time.perf_counter() - t0)
-    d0 = one_disruption_value(inst.delta, inst.graph.n)
-    if d0 is not None and d0 > EPS and is_critical(inst.graph):
-        route = "u_lp" if _zero_processing(inst.graph) else "critical_reduction"
-        try:
-            sol = solve_critical_one_disruption(inst)
-            return _report_exact(route, sol, time.perf_counter() - t0)
-        except NonIntegralVertex:
-            pass
-    return solve_method(inst, "dom_cuts" if cuts else "dom", params, t0)
+    return solve_method(inst, "auto", params)
 
 
 def solve_brute(inst: Instance) -> SolutionReport:
@@ -317,6 +330,7 @@ def solve_brute(inst: Instance) -> SolutionReport:
 
 
 __all__ = [
+    "METHODS",
     "SolutionReport",
     "preprocess_deadline",
     "solve_auto",

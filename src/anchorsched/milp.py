@@ -421,12 +421,11 @@ def _tableau(A, cost, lo, hi, basis, upper):
 class WarmStart:
     """Where a later LP of the same model starts: an Optimal LP's final state.
 
-    It unpacks as the pair ``basis, upper`` (the final basis and at-upper
-    flags of [x, s]).  T and z are that LP's final tableau and values under
-    the bounds lo and hi of [x, s], or None once dropped; they can seed a
-    later LP only while the model has no row they lack.  ``owned`` hands T
-    over: the solve it is given to may overwrite it, any other works on a
-    copy.
+    ``basis`` and ``upper`` are the final basis and at-upper flags of
+    [x, s].  T and z are that LP's final tableau and values under the
+    bounds lo and hi of [x, s], or None once dropped; they can seed a later
+    LP only while the model has no row they lack.  ``owned`` hands T over:
+    the solve it is given to may overwrite it, any other works on a copy.
     """
 
     basis: np.ndarray
@@ -436,9 +435,6 @@ class WarmStart:
     lo: np.ndarray | None = None
     hi: np.ndarray | None = None
     owned: bool = False
-
-    def __iter__(self):
-        return iter((self.basis, self.upper))
 
 
 def _seed(start: WarmStart, lo, hi):
@@ -480,12 +476,12 @@ def _simplex(model: MipModel, fixes: dict[int, float] | None, start=None):
     lb = ub), and the logical s of each row is bounded by its sense.  The
     cold start is all logicals basic with every structural at the bound its
     cost prefers, which is dual feasible.  ``start`` is the ``WarmStart`` an
-    earlier Optimal solve of this model returned, or its (basis, at-upper
-    flags) pair.  Its kept tableau seeds the solve (``_seed``), and the
-    result is accepted only when the residual max |A x - s| is at most
-    FEAS_TOL, one matrix-vector product.  Otherwise the tableau of its basis
-    comes from ``_tableau``, rows added since joining the basis with their
-    logical, and the solve starts cold when that returns None.
+    earlier Optimal solve of this model returned.  Its kept tableau seeds
+    the solve (``_seed``), and the result is accepted only when the residual
+    max |A x - s| is at most FEAS_TOL, one matrix-vector product.  Otherwise
+    the tableau of its basis comes from ``_tableau``, rows added since
+    joining the basis with their logical, and the solve starts cold when
+    that returns None.
     Returns (status, x_full, iterations, final) where status is "Optimal"
     or "Infeasible", x_full is a full variable-value vector and final the
     ``WarmStart`` of this solve (both None unless Optimal).  Raises
@@ -499,8 +495,6 @@ def _simplex(model: MipModel, fixes: dict[int, float] | None, start=None):
                 return "Infeasible", None, 0, None
             lo[idx] = hi[idx] = val
     cost = -c if model.maximize else c
-    if start is not None and not isinstance(start, WarmStart):
-        start = WarmStart(*start)
     iterations = 0
     seeded = None if start is None else _seed(start, lo, hi)
     if seeded is not None:
@@ -920,17 +914,13 @@ def parse_lp_file(source) -> MipModel:
                 raise ParseError(f"line {lineno}: unsupported bound syntax {text!r}")
             lo, name, hi = float(mb.group(1)), mb.group(2), float(mb.group(3))
             bounds[name] = (lo, hi)
-            if name not in seen:
-                seen.add(name)
-                var_order.append(name)
+            note_vars((name,))
         elif section == "binary":
             for name in text.split():
                 if not _NAME_RE.match(name):
                     raise ParseError(f"line {lineno}: bad binary name {name!r}")
                 binaries.append(name)
-                if name not in seen:
-                    seen.add(name)
-                    var_order.append(name)
+                note_vars((name,))
         elif section == "end":
             raise ParseError(f"line {lineno}: content after End")
         else:

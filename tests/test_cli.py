@@ -158,9 +158,10 @@ def test_solve_export_lp(tmp_path, capsys, fig_budget):
 
 
 def test_solve_cuts_restriction(tmp_path, capsys, fig_budget):
+    # branch and cut is a method of its own; there is no --cuts flag
     path = _write(tmp_path, fig_budget)
     assert console_main(["solve", str(path), "--method", "std", "--cuts"]) == 4
-    rc = console_main(["solve", str(path), "--method", "dom", "--cuts"])
+    rc = console_main(["solve", str(path), "--method", "dom_cuts"])
     assert rc == 0
     data = json.loads(capsys.readouterr().out)
     assert data["method"] == "dom_cuts" and data["objective"] == pytest.approx(4.0)
@@ -253,6 +254,7 @@ def test_bench_parallel_matches_serial(bench_dir, capsys):
 def test_bench_rejects_bad_flags(bench_dir, tmp_path):
     assert console_main(["bench", str(bench_dir), "--methods", "dom,magic"]) == 4
     assert console_main(["bench", str(bench_dir), "--methods", "std", "--cuts"]) == 4
+    assert console_main(["bench", str(bench_dir), "--methods", "dom", "--cuts"]) == 4
     empty = tmp_path / "empty"
     empty.mkdir()
     assert console_main(["bench", str(empty), "--methods", "dom"]) == 4
@@ -276,7 +278,6 @@ def test_numerical_failure_is_a_status_and_an_exit_code(
         raise asd.NumericalFailure("pivot limit 200000 hit in phase 1")
 
     monkeypatch.setattr(cli, "solve_method", stall)
-    monkeypatch.setattr(cli, "solve_auto", stall)
     d = tmp_path / "stall"
     d.mkdir()
     path = _write(d, fig_budget)
@@ -293,7 +294,7 @@ def test_numerical_failure_is_a_status_and_an_exit_code(
 def test_bench_lp_value_is_the_root_lp(tmp_path):
     # read off the branch-and-bound root, equal to a separate relaxation solve;
     # chain cuts describe the projection of the dom relaxation, so the root of
-    # the --cuts master has its value too
+    # the dom_cuts master has its value too, under either spelling
     for label, seed in (("ER_pRand_dRand_G2", 0), ("SP_pQCri_dUnif_G1", 1),
                         ("ER_pQCri_dRand_G3", 2)):
         inst = asd.make_instance(label, 8, seed)
@@ -304,10 +305,26 @@ def test_bench_lp_value_is_the_root_lp(tmp_path):
             assert rec.solved, (label, method)
             want = asd.lp_bound(asd.preprocess_deadline(inst), method)
             assert rec.lp_value == want, (label, method)
-        rec = cli.bench_task(str(path), "dom", 30.0, cuts=True)
-        assert rec.solved, label
         want = asd.lp_bound(asd.preprocess_deadline(inst), "dom")
-        assert rec.lp_value == pytest.approx(want, abs=1e-9), label
+        for rec in (cli.bench_task(str(path), "dom", 30.0, cuts=True),
+                    cli.bench_task(str(path), "dom_cuts", 30.0)):
+            assert rec.solved, label
+            assert rec.lp_value == pytest.approx(want, abs=1e-9), label
+
+
+def test_bench_task_cuts_is_dom_cuts(tmp_path, fig_budget):
+    # the benchmark harness names the branch and cut as dom with cuts=True
+    inst = asd.make_instance("ER_pRand_dRand_G2", 10, 3)
+    for k, case in enumerate((fig_budget, inst)):
+        path = _write(tmp_path, case, f"case{k}.json")
+        spelled = cli.bench_task(str(path), "dom", 30.0, cuts=True)
+        named = cli.bench_task(str(path), "dom_cuts", 30.0)
+        assert spelled.solved and spelled.method == "dom_cuts"
+        assert dataclasses.replace(spelled, runtime=0.0) == (
+            dataclasses.replace(named, runtime=0.0)
+        )
+        with pytest.raises(asd.ParseError):
+            cli.bench_task(str(path), "std", 30.0, cuts=True)
 
 
 def test_mip_runtime_counts_setup(monkeypatch, fig_budget):
@@ -320,12 +337,11 @@ def test_mip_runtime_counts_setup(monkeypatch, fig_budget):
 
     monkeypatch.setattr(formulations, "worst_case_longest_paths", slow)
     params = asd.SolveParams(time_limit=30.0)
-    reports = [asd.solve_auto(fig_budget, params),
-               asd.solve_auto(fig_budget, params, cuts=True)]
-    for method, cuts in (("std", False), ("dom", False), ("dom", True), ("lay", False)):
-        reports.append(cli._solve_one(fig_budget, method, params, cuts))
+    reports = [asd.solve_auto(fig_budget, params)]
+    for method in ("auto", "std", "dom", "dom_cuts", "lay"):
+        reports.append(asd.solve_method(fig_budget, method, params))
     assert [r.method for r in reports] == [
-        "dom", "dom_cuts", "std", "dom", "dom_cuts", "lay"
+        "dom", "dom", "std", "dom", "dom_cuts", "lay"
     ]
     for rep in reports:
         assert rep.solved and rep.runtime >= 0.05, rep.method

@@ -1,4 +1,4 @@
-"""README stays in step with the package: entry points and CLI flags."""
+"""README stays in step with the package: entry points, methods and CLI flags."""
 
 import argparse
 import re
@@ -37,3 +37,11 @@ def test_readme_flags_match_the_cli():
     flags = _subparser_flags()
     assert named - flags == set(), "README names flags no subcommand accepts"
     assert flags - named == set(), "subcommand flags README does not name"
+
+
+def test_readme_methods_match_the_package():
+    start = README.index("## Solve methods")
+    table = README[start : README.index("\n\n", README.index("| method", start))]
+    rows = [line for line in table.splitlines() if line.startswith("| `")]
+    names = tuple(re.match(r"\| `(\w+)`", line).group(1) for line in rows)
+    assert names == asd.METHODS

@@ -262,8 +262,10 @@ def test_solve_auto_routes(fig_box, fig_budget):
     assert rep.method == "box" and rep.objective == pytest.approx(4.0)
     rep = asd.solve_auto(fig_budget)
     assert rep.method == "dom" and rep.objective == pytest.approx(4.0)
-    rep = asd.solve_auto(fig_budget, cuts=True)
+    rep = asd.solve_method(fig_budget, "dom_cuts")
     assert rep.method == "dom_cuts" and rep.objective == pytest.approx(4.0)
+    with pytest.raises(asd.ParseError):
+        asd.solve_method(fig_budget, "magic")
     rep = asd.solve_auto(uzero)
     assert rep.method == "u_lp"
     assert rep.objective == pytest.approx(asd.solve_brute(uzero).objective)

@@ -8,7 +8,15 @@ import numpy as np
 import pytest
 
 import anchorsched as asd
-from anchorsched.milp import MipModel, SolveParams, Variable, _lp, _simplex, _tableau
+from anchorsched.milp import (
+    MipModel,
+    SolveParams,
+    Variable,
+    WarmStart,
+    _lp,
+    _simplex,
+    _tableau,
+)
 
 from .conftest import five_job_graph
 from .oracles import max_violation
@@ -299,13 +307,13 @@ def test_warm_start_falls_back_to_cold():
     cold = _simplex(m, None)
     assert cold[0] == "Optimal" and cold[2] == 1
     A, lo, hi, c = m._standard_form()
-    basis, upper = cold[3]
+    basis, upper = cold[3].basis, cold[3].upper
     flipped = upper.copy()
     flipped[2] = False  # w moved to the bound its cost rejects
-    singular = (np.array([2]), upper)  # w basic for the row: A_RK = [[0]]
-    for pair in ((basis, flipped), singular):
-        assert _tableau(A, -c, lo, hi, *pair) is None
-        warm = _simplex(m, None, pair)
+    singular = WarmStart(np.array([2]), upper)  # w basic for the row: A_RK = [[0]]
+    for start in (WarmStart(basis, flipped), singular):
+        assert _tableau(A, -c, lo, hi, start.basis, start.upper) is None
+        warm = _simplex(m, None, start)
         assert (warm[0], warm[2]) == (cold[0], cold[2])  # status, pivots
         assert np.array_equal(warm[1], cold[1])
     assert _simplex(m, None, cold[3])[2] == 0  # the optimal pair needs no pivot
