@@ -18,7 +18,11 @@ Workloads cover every accelerated kernel family through public entry points:
   printed under the table),
 * model builds — ``build_std``, ``build_dom`` and ``build_lay`` with the
   standard form the simplex reads, L0 and LD computed beforehand (model
-  sizes are printed under the table).
+  sizes are printed under the table),
+* a time-limited solve — ``dom`` at n=200 with ``time_limit=1``, whose wall
+  time overruns the limit by what the LPs before the first node check
+  take (the root LP's pivots and the count of LPs that complete a proposal
+  are printed under the table).
 
 Run ``python3 benchmarks/bench_kernels.py``; the script puts the
 repository's ``src/`` first on ``sys.path`` itself, so no install and no
@@ -53,6 +57,7 @@ WORKLOADS = (
         for which in ("dom", "std", "lay")
     ),
     ("build dom ER n=240", "build dom ER_pRand_dRand_G2 240"),
+    ("dom n=200 ER_pZero_dUnif_G3 time_limit=1", "time_limit ER_pZero_dUnif_G3 200"),
 )
 
 
@@ -75,6 +80,31 @@ def _worst_case(label: str):
         _kernels.sweep = real
     note = f"{layout[3]} budget states, {len(passes)} sweep passes"
     return lambda: asd.worst_case_longest_paths(g, d), note
+
+
+def _time_limited(label: str, n: int):
+    """A ``dom`` solve with ``time_limit=1``, its root pivots and proposal LPs."""
+    import anchorsched as asd
+    from anchorsched import milp
+
+    inst = asd.make_instance(label, n, 0)
+    params = asd.SolveParams(time_limit=1.0)
+    real, lps = milp._simplex, []
+
+    def counting(model, fixes, start=None):
+        out = real(model, fixes, start)
+        lps.append((len(fixes or ()), out[2]))
+        return out
+
+    milp._simplex = counting
+    try:  # untimed: count the LPs of one solve
+        res = asd.solve_formulation(inst, "dom", params)[0]
+    finally:
+        milp._simplex = real
+    proposals = sum(fixed == inst.n for fixed, _ in lps)  # every binary fixed
+    note = (f"{res.status} at {res.value:g}/{res.bound:g}, root LP {lps[0][1]} "
+            f"pivots, {proposals} proposal LPs")
+    return lambda: asd.solve_formulation(inst, "dom", params)[0], note
 
 
 def _build(tag: str):
@@ -104,6 +134,9 @@ def _build(tag: str):
     if tag == "bnc":
         inst = asd.make_instance("ER_pRand_dRand_G1", 40, 0)
         return lambda: asd.solve_dom_cuts(inst)[0], None
+    if tag.startswith("time_limit "):
+        _, label, n = tag.split()
+        return _time_limited(label, int(n))
     if tag.startswith("build "):
         _, which, label, n = tag.split()
         inst = asd.make_instance(label, int(n), 0)

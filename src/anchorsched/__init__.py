@@ -10,8 +10,8 @@ deviation occurs (an *anchored* set).  It provides:
 * the anchored-set characterization through dominant schedules, built by
   one recursion over the anchored jobs, plus a brute-force reference
   (:mod:`anchorsched.anchored`);
-* three MIP formulations with chain-inequality separation and rounded
-  bounds on a self-contained simplex / branch-and-cut engine
+* three MIP formulations with chain-inequality separation on a
+  self-contained simplex / branch-and-cut engine
   (:mod:`anchorsched.formulations`, :mod:`anchorsched.milp`);
 * polynomial special cases — greatest-point sets, zero processing times,
   critical graphs under a single disruption (:mod:`anchorsched.exact`);
@@ -56,18 +56,15 @@ from .exact import (
     preprocess_deadline,
     solve_auto,
     solve_box,
-    solve_brute,
     solve_critical_one_disruption,
     solve_method,
     solve_u_anchrob,
     tighten_deadline,
 )
 from .formulations import (
-    add_chvatal_rows,
     build_dom,
     build_lay,
     build_std,
-    chvatal_bound,
     dom_lay_premise,
     lp_bound,
     separate_chain,
@@ -165,7 +162,6 @@ __all__ = [
     "SolveResult",
     "UnsupportedInstance",
     "UnsupportedUncertainty",
-    "add_chvatal_rows",
     "all_pairs_longest",
     "brute_force_optimum",
     "budgeted_dp",
@@ -173,7 +169,6 @@ __all__ = [
     "build_lay",
     "build_std",
     "build_uncertainty",
-    "chvatal_bound",
     "contains",
     "dom_lay_premise",
     "dominant_schedule",
@@ -208,7 +203,6 @@ __all__ = [
     "single_source_longest",
     "solve_auto",
     "solve_box",
-    "solve_brute",
     "solve_critical_one_disruption",
     "solve_dom_cuts",
     "solve_formulation",

@@ -107,6 +107,21 @@ def _anchored_starts(
     return nodes, z
 
 
+def _fill_starts(g: PrecedenceGraph, nodes, z) -> np.ndarray:
+    """Starts of every node: at least z on ``nodes``, as early as G allows.
+
+    With the anchored starts of ``_anchored_starts``, the nodes keep z and
+    this is the dominant baseline (see the module docstring).
+    """
+    start = np.zeros(g.n + 2)
+    start[nodes] = z
+    start, p = start.tolist(), g.p.tolist()  # float arithmetic off numpy scalars
+    for v in g._topo:
+        for i in g._pred[v]:
+            start[v] = max(start[v], start[i] + p[i])
+    return np.array(start)
+
+
 def dominant_schedule(
     g: PrecedenceGraph,
     ld: LongestPathMatrix,
@@ -120,13 +135,7 @@ def dominant_schedule(
     strengthened pair constraints whenever any baseline is.  With a deadline,
     raises InfeasibleAnchoredSet if even this schedule overruns it.
     """
-    nodes, z = _anchored_starts(g, ld, anchored)
-    start = np.zeros(g.n + 2)
-    start[nodes] = z
-    for v in g._topo:
-        for i in g._pred[v]:
-            start[v] = max(start[v], start[i] + g.p[i])
-    sched = Schedule(start=start)
+    sched = Schedule(start=_fill_starts(g, *_anchored_starts(g, ld, anchored)))
     if deadline is not None and sched.makespan > float(deadline) + EPS:
         raise InfeasibleAnchoredSet(
             f"anchored set needs makespan {sched.makespan:g} > deadline {float(deadline):g}"

@@ -220,9 +220,7 @@ def bench_task(
             gap=float("nan"), objective=float("nan"),
             lp_value=float("nan"), lp_gap=float("nan"),
         )
-    lp_value = float("nan")
-    if report.solved and method != "auto":
-        lp_value = report.root_value
+    lp_value = report.root_value if report.solved else float("nan")
     lp_gap = (lp_value - report.objective) / max(abs(report.objective), 1e-9)
     return BenchRecord(
         path=str(path), label=label, method=method, status=report.status,

@@ -322,20 +322,12 @@ def solve_auto(inst: Instance, params: SolveParams | None = None) -> SolutionRep
     return solve_method(inst, "auto", params)
 
 
-def solve_brute(inst: Instance) -> SolutionReport:
-    """Exhaustive reference solve wrapped in the uniform report record."""
-    t0 = time.perf_counter()
-    sol = brute_force_optimum(inst)
-    return _report_exact("brute", sol, time.perf_counter() - t0)
-
-
 __all__ = [
     "METHODS",
     "SolutionReport",
     "preprocess_deadline",
     "solve_auto",
     "solve_box",
-    "solve_brute",
     "solve_critical_one_disruption",
     "solve_method",
     "solve_u_anchrob",

@@ -21,6 +21,8 @@ Three equivalent mixed-integer models over binary anchoring indicators h:
 
 Each builder computes its rows with numpy, as index and coefficient arrays,
 and appends them to the model as one dense block (``MipModel.add_rows``).
+``std`` and ``dom`` also attach the basis of the all-anchored dominant
+schedule, which their LPs start from (``_dominant_start``).
 
 The h-projections of the ``dom`` and ``lay`` relaxations are described by
 chain inequalities: for every s-t chain in the comparability order, the sum of
@@ -45,6 +47,8 @@ import numpy as np
 from .anchored import (
     AnchoredSolution,
     Instance,
+    _anchored_starts,
+    _fill_starts,
     dominant_schedule,
 )
 from .errors import DeadlineInfeasible, UnsupportedUncertainty
@@ -56,7 +60,15 @@ from .graph import (
     single_source_longest,
     topological_order,
 )
-from .milp import MipModel, SolveParams, SolveResult, solve_lp, solve_mip
+from .milp import (
+    FEAS_TOL,
+    MipModel,
+    SolveParams,
+    SolveResult,
+    WarmStart,
+    solve_lp,
+    solve_mip,
+)
 from .uncertainty import (
     Budgeted,
     _dev_full,
@@ -111,6 +123,39 @@ def _schedule_model(name: str, inst: Instance, prefix: str, ub: float) -> MipMod
     return model
 
 
+def _dominant_start(model: MipModel, inst: Instance, ld) -> None:
+    """Attach the basis of the all-anchored dominant schedule as ``model.start``.
+
+    For the schedule layout of ``_schedule_model``.  At the point with every
+    h = 1, z the dominant baseline of all jobs (``_anchored_starts``) and z_t
+    its makespan, each schedule column j = 1..n, t becomes basic in the
+    first row with +1 on j that is tight there; every other row keeps its
+    logical, a nonbasic one at its finite bound, and h stays at the bound
+    its cost prefers, as in the slack basis.  A row's other schedule entry
+    is a predecessor of its head, so in topological order the basic block is
+    unit triangular; the schedule columns cost 0, so the duals are 0 and the
+    basis is dual feasible.  The dual simplex then only repairs what the
+    deadline and the bounds on z reject.
+    """
+    g = inst.graph
+    nodes, z = _anchored_starts(g, ld, g.jobs)
+    point = np.ones(model.n_vars)
+    point[nodes] = z
+    point[g.t] = (z + g.to_sink()[nodes]).max()
+    A, lo, hi, c = model._standard_form()
+    m, n = A.shape
+    act = A @ point
+    tol = FEAS_TOL * (1.0 + np.abs(act))
+    tight = (np.abs(act - lo[n:]) <= tol) | (np.abs(act - hi[n:]) <= tol)
+    cols = np.arange(1, g.t + 1)
+    rows = (A[:, cols] == 1.0) & tight[:, None]
+    found = rows.any(axis=0)
+    basis = np.arange(n, n + m)
+    basis[rows.argmax(axis=0)[found]] = cols[found]
+    # maximized weights: h at 1 when its weight is positive, as cold
+    model.start = WarmStart(basis, np.concatenate([c > 0, lo[n:] == -np.inf]))
+
+
 def _block(shape, *entries) -> np.ndarray:
     """Dense row block with A[rows, cols] = vals for each (rows, cols, vals)."""
     A = np.zeros(shape)
@@ -128,7 +173,8 @@ def build_std(
     the arc rows of G, the deadline x_t <= M, and for every comparable pair
     (i, j) the row x_j - x_i >= LD(i, j)(h_i + h_j - 1) with h_s = 1 and
     h_t = 0 substituted.  The upper bound M on x is implied by the arc rows
-    and the deadline, so declaring it cuts nothing.
+    and the deadline, so declaring it cuts nothing.  Its LPs start from the
+    all-anchored dominant basis (``_dominant_start``).
     """
     g = inst.graph
     if ld is None:
@@ -161,6 +207,7 @@ def build_std(
     hi[e] = M
     model.add_rows(A, lo, hi, names)
     _objective(model, inst)
+    _dominant_start(model, inst, ld)
     return model
 
 
@@ -229,7 +276,8 @@ def build_dom(
     are implied because L0(i, j) >= p_i on arcs.  The head-to-t rows bound
     every z by M, so the declared upper bounds cut nothing.  Pair rows that
     are already implied through an intermediate job are omitted; the
-    feasible region is identical (see ``_implied_heads``).
+    feasible region is identical (see ``_implied_heads``).  Its LPs start
+    from the all-anchored dominant basis (``_dominant_start``).
     """
     l0, ld = _matrices(inst, l0, ld)
     g = inst.graph
@@ -253,6 +301,7 @@ def build_dom(
     hi[0] = M
     model.add_rows(A, np.concatenate([[-np.inf], base]), hi, names)
     _objective(model, inst)
+    _dominant_start(model, inst, ld)
     return model
 
 
@@ -371,57 +420,6 @@ def _build(inst: Instance, which: str):
 def build(inst: Instance, which: str) -> MipModel:
     """Build one of the three formulations by name (std, dom, lay)."""
     return _build(inst, which.lower())[0]
-
-
-# ---------------------------------------------------------------------------
-# valid inequalities on single jobs
-# ---------------------------------------------------------------------------
-
-
-def chvatal_bound(
-    inst: Instance,
-    l0: LongestPathMatrix,
-    ld: LongestPathMatrix,
-    j: int,
-) -> int | None:
-    """Rounded single-job upper bound on h_j, clipped to {0, 1}.
-
-    A job anchored at its earliest start delays completion by at least
-    LD(s,j) - L0(s,j) beyond the nominal critical path through j, which the
-    slack M - (L0(s,j) + L0(j,t)) must absorb; the ratio rounds down to 0
-    exactly when LD(s,j) + L0(j,t) > M.  That comparison is made on the sum
-    with the oracle's EPS, as ``is_anchored_set`` rejects {j} (and as
-    ``_unanchorable`` fixes j), so the bound never cuts a set the oracle
-    accepts.  Returns None when LD(s,j) = L0(s,j) (no tightening, the
-    inequality is vacuous).
-    """
-    den = float(ld.values[S, j]) - float(l0.values[S, j])
-    if den <= 1e-12:
-        return None
-    start = max(0.0, float(ld.values[S, j]))
-    return 0 if start + float(l0.values[j, inst.graph.t]) > float(inst.deadline) + EPS else 1
-
-
-def add_chvatal_rows(
-    model: MipModel,
-    inst: Instance,
-    l0: LongestPathMatrix,
-    ld: LongestPathMatrix,
-) -> int:
-    """Add the restrictive rounded bounds (h_j <= 0) to any built model.
-
-    Every formulation is exact without them.  The solve routes fix h_j = 0
-    for the jobs that cannot be anchored alone (``_unanchorable``) in the
-    solver, not as rows, so a built model's relaxation stays its own.
-    Returns the number of rows added.
-    """
-    jobs = [j for j in inst.graph.jobs if chvatal_bound(inst, l0, ld, j) == 0]
-    A = _block(
-        (len(jobs), model.n_vars),
-        (np.arange(len(jobs)), [model.var_index(f"h_{j}") for j in jobs], 1.0),
-    )
-    model.add_rows(A, -np.inf, 0.0, [f"round_h_{j}" for j in jobs])
-    return len(jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -559,10 +557,13 @@ def _greedy_anchored_heuristic(inst: Instance, ld, model: MipModel):
     then the smaller job); each one is kept if the enlarged set still fits
     the deadline.  It reads and proposes vectors in the variable order of
     ``model``, through an index array of h built once: the proposal holds
-    the indicators of the final set (0 elsewhere), None when not even the
-    empty set fits.  Every formulation is exact on the h-space, so the LP
-    with those indicators fixed is feasible, and ``solve_mip`` completes it
-    into an incumbent for any model (its dominant baseline is one solution).
+    the indicators of the final set, None when not even the empty set fits.
+    On the schedule layout of ``std`` and ``dom`` its columns s, 1..n, t
+    hold the set's dominant baseline (``dominant_schedule``), a point of the
+    model that ``solve_mip`` takes as it is; on any other model they are 0.
+    Every formulation is exact on the h-space, so the LP with those
+    indicators fixed is feasible, and ``solve_mip`` completes such a
+    proposal into an incumbent by that LP.
 
     The test is ``is_anchored_set``'s, kept incremental: z holds the
     dominant starts of s and the chosen jobs (-inf elsewhere).  A candidate
@@ -577,6 +578,7 @@ def _greedy_anchored_heuristic(inst: Instance, ld, model: MipModel):
     to_sink = g.to_sink()
     topo = np.array(g._topo)
     h_index = np.array([model.var_index(f"h_{j}") for j in g.jobs], dtype=np.intp)
+    schedule_layout = model.name in ("std", "dom")
 
     def heur(xlp: np.ndarray) -> np.ndarray | None:
         if to_sink[S] > lim:  # s fails the test, so every set does
@@ -600,6 +602,9 @@ def _greedy_anchored_heuristic(inst: Instance, ld, model: MipModel):
                 chosen[j] = True
         proposal = np.zeros(model.n_vars)
         proposal[h_index] = chosen[1 : g.n + 1]
+        if schedule_layout:
+            nodes = np.flatnonzero(chosen)
+            proposal[: g.t + 1] = _fill_starts(g, nodes, z[nodes])
         return proposal
 
     return heur
@@ -630,7 +635,9 @@ def solve_formulation(
     """Build one formulation, solve it as a MIP, and decode the solution.
 
     Every model runs the greedy heuristic on LD and decodes to the dominant
-    baseline of its anchored set, not to the LP's schedule variables.
+    baseline of its anchored set, not to the LP's schedule variables.  On
+    ``std`` and ``dom`` the greedy's proposals are points of the model, so
+    none needs an LP; ``lay``'s are completed by one.
     """
     which = which.lower()
     model, ld = _build(inst, which)

@@ -23,21 +23,25 @@ returns none (Padberg & Rinaldi, *SIAM Review* 33(1), 1991).  A caller's
 presolve may pass fixings, values that every feasible point takes; they
 bind from the separated root on, so the root value stays the model's own
 relaxation, and every node inherits them (Savelsbergh, *ORSA J. Computing*
-6(4), 1994).  One incumbent path serves primal heuristics.  A heuristic (and
-LP rounding, the one built in) proposes values for the binaries only; the
-LP with those binaries fixed completes the continuous part, and its point
-is vetted like any other candidate.  When the objective lies on the
-binaries, a proposal that does not beat the incumbent is skipped before
-that LP.  Branch and cut works on the simplex's own vectors, one value per
-variable in model order, and minimizes (the negated costs of a maximized
-model): callbacks and heuristics see those vectors, and only the returned
-incumbent is named.
+6(4), 1994).  One incumbent path serves primal heuristics.  A heuristic
+proposes a vector: one whose binaries are 0/1 and that meets every bound
+and row is taken as it is; any other is read on its binaries only, and the
+LP with those binaries fixed completes the continuous part.  Either point
+is vetted like any other candidate.  LP rounding, the one heuristic built
+in, proposes the root point when the caller gives no heuristic.  When the
+objective lies on the binaries, a proposal that does not beat the
+incumbent is skipped before both.  Branch and cut works on the simplex's
+own vectors, one value per variable in model order, and minimizes (the
+negated costs of a maximized model): callbacks and heuristics see those
+vectors, and only the returned incumbent is named.
 
-Only the root LP starts cold.  Every other LP starts from the final basis
-and at-upper flags of an earlier one: a node from its parent's (both
-children share the pair), the completion of a proposal from the basis of
-the node that proposed it, and a re-solve after cuts or after the root's
-fixings from the node's own, with each new row's logical joining the
+The root LP starts from the basis the model carries (``MipModel.start``,
+which a builder may attach as a crash basis; Bixby, *ORSA J. Computing*
+4(3), 1992), else from the slack basis.  Every other LP starts from the
+final basis and at-upper flags of an earlier one: a node from its parent's
+(both children share the pair), the completion of a proposal from the
+basis of the node that proposed it, and a re-solve after cuts or after the
+root's fixings from the node's own, with each new row's logical joining the
 basis.  A branch fixes a binary that was basic, and a new logical has zero
 cost, so the basis stays dual feasible and the same dual phase re-optimizes
 it, usually in a few pivots (Achterberg, *Constraint Integer Programming*,
@@ -90,6 +94,8 @@ BLAND_AFTER = 1000
 MAX_PIVOTS = 200_000
 #: distance from 0 or 1 within which a binary counts as integral
 INT_TOL = 1e-6
+#: bound or row violation an incumbent may carry
+INC_TOL = 5e-6
 #: float64 cells (8 MiB) of the kept tableaux that open nodes may hold; a
 #: memory guard, not an option
 KEEP_CELLS = 2**20
@@ -167,7 +173,10 @@ class MipModel:
     ``add_row`` are their one-item forms.  The block keeps spare rows, so
     rows added one at a time (cuts, a parsed file) cost amortized O(n) each.
     ``variables`` and ``rows`` are read-only sequences that build their
-    ``Variable`` and ``Row`` items on demand.
+    ``Variable`` and ``Row`` items on demand.  ``start`` is the basis an LP
+    of the model starts from when it is given no other (a ``WarmStart``
+    without a tableau; None for the slack basis); a builder may attach one,
+    and adding columns drops it.
     """
 
     def __init__(self, name: str = "model"):
@@ -186,6 +195,7 @@ class MipModel:
         self._rhi = np.zeros(0)
         self._m = 0
         self._row_names: list[str] = []
+        self.start: WarmStart | None = None
         self.variables: Sequence[Variable] = _View(lambda: len(self._names), self._variable)
         self.rows: Sequence[Row] = _View(lambda: self._m, self._row)
 
@@ -214,6 +224,7 @@ class MipModel:
             if bad.any():
                 raise ValueError(f"variable {names[int(np.argmax(bad))]!r} {why}")
         n = len(self._names)
+        self.start = None  # its basis indexes the old columns
         self._index.update(zip(names, range(n, n + k)))
         self._names.extend(names)
         self._lb = np.concatenate([self._lb, lb])
@@ -421,8 +432,9 @@ def _tableau(A, cost, lo, hi, basis, upper):
 class WarmStart:
     """Where a later LP of the same model starts: an Optimal LP's final state.
 
-    ``basis`` and ``upper`` are the final basis and at-upper flags of
-    [x, s].  T and z are that LP's final tableau and values under the
+    A builder's start (``MipModel.start``) is one too, a basis with no
+    tableau.  ``basis`` and ``upper`` are the final basis and at-upper flags
+    of [x, s].  T and z are that LP's final tableau and values under the
     bounds lo and hi of [x, s], or None once dropped; they can seed a later
     LP only while the model has no row they lack.  ``owned`` hands T over:
     the solve it is given to may overwrite it, any other works on a copy.
@@ -476,12 +488,13 @@ def _simplex(model: MipModel, fixes: dict[int, float] | None, start=None):
     lb = ub), and the logical s of each row is bounded by its sense.  The
     cold start is all logicals basic with every structural at the bound its
     cost prefers, which is dual feasible.  ``start`` is the ``WarmStart`` an
-    earlier Optimal solve of this model returned.  Its kept tableau seeds
-    the solve (``_seed``), and the result is accepted only when the residual
-    max |A x - s| is at most FEAS_TOL, one matrix-vector product.  Otherwise
-    the tableau of its basis comes from ``_tableau``, rows added since
-    joining the basis with their logical, and the solve starts cold when
-    that returns None.
+    earlier Optimal solve of this model returned; without one the solve
+    starts from the basis the model carries (``model.start``), if any.  A
+    kept tableau seeds the solve (``_seed``), and the result is accepted only
+    when the residual max |A x - s| is at most FEAS_TOL, one matrix-vector
+    product.  Otherwise the tableau of the start's basis comes from
+    ``_tableau``, rows added since joining the basis with their logical, and
+    the solve starts cold when that returns None.
     Returns (status, x_full, iterations, final) where status is "Optimal"
     or "Infeasible", x_full is a full variable-value vector and final the
     ``WarmStart`` of this solve (both None unless Optimal).  Raises
@@ -496,6 +509,8 @@ def _simplex(model: MipModel, fixes: dict[int, float] | None, start=None):
             lo[idx] = hi[idx] = val
     cost = -c if model.maximize else c
     iterations = 0
+    if start is None:
+        start = model.start
     seeded = None if start is None else _seed(start, lo, hi)
     if seeded is not None:
         T, z, basis = seeded
@@ -549,7 +564,8 @@ def solve_lp(model: MipModel) -> SolveResult:
     """Optimal basic (vertex) solution of the LP relaxation.
 
     Binary flags are ignored; bounds are honored.  The reported point is a
-    vertex of the feasible region (basic solution of the simplex).
+    vertex of the feasible region (basic solution of the simplex), reached
+    from ``model.start`` when the model carries one.
     """
     return _lp(model)[0]
 
@@ -578,7 +594,9 @@ def solve_mip(
 
     Points are the simplex's own vectors, one value per variable in model
     order, and the objective is minimized internally (its negation when the
-    model maximizes); only the returned incumbent is named.
+    model maximizes); only the returned incumbent is named.  The root LP
+    starts from ``model.start`` when the model carries one, as ``solve_lp``
+    does, so ``root_value`` is the value ``solve_lp`` reports.
 
     Every node, the root first, solves its LP and then separates:
     ``cut_callback(x)`` sees the node's LP point, fractional or integral,
@@ -599,16 +617,22 @@ def solve_mip(
     feasible point meets ends the search Infeasible.
 
     ``heuristic(x)`` turns the separated LP point of a node it branches into
-    a proposal: a vector whose binary entries, rounded to 0/1, are read
-    (None proposes nothing).  It runs on a geometric schedule, at the k-th
-    branched node for k = 0 (the root, when it branches), 1, 2, 4, 8, ...:
-    deep in the tree its proposals seldom beat the incumbent, and each call
-    costs about as much as a node LP.  Rounding the root LP is one more
-    proposal.  Each proposal is completed by the LP with those binaries
-    fixed, warm-started from the proposing node's basis, and its point is
-    offered to the callback and the row check; a point the callback cuts off
-    is dropped.  When the objective lies on the binaries, a proposal that
-    does not beat the incumbent is skipped before that LP.
+    a proposal, a full vector (None proposes nothing).  It runs on a
+    geometric schedule, at the k-th branched node for k = 0 (the root, when
+    it branches), 1, 2, 4, 8, ...: deep in the tree its proposals seldom beat
+    the incumbent, and each call costs about as much as a node LP.  A
+    proposal whose binaries are 0/1 and that passes the incumbent's row
+    check (``max_violation`` at most INC_TOL) is a point of the model, taken
+    as it is.  Any other is read on its binaries, rounded to 0/1, and
+    completed by the LP with those binaries fixed, warm-started from the
+    proposing node's basis.  Either point is offered to the callback and the
+    row check; a point the callback cuts off is dropped.  When the objective
+    lies on the binaries, a proposal that does not beat the incumbent is
+    skipped before the row check and the LP.  Without a heuristic, the root
+    LP point, rounded, is proposed once instead.  With one it is not: the
+    greedy that ``solve_formulation`` passes tries jobs in decreasing LP
+    value and keeps every one that fits, so when the rounded set is feasible
+    the greedy's set holds it.
 
     This function decides the returned value and bound.  When the objective
     lies on the binaries, the value is that of the incumbent's rounded
@@ -649,7 +673,7 @@ def solve_mip(
 
     def try_incumbent(x: np.ndarray, val: float) -> None:
         nonlocal inc_x, inc_val
-        if (inc_x is None or val < inc_val) and model.max_violation(x) <= 5e-6:
+        if (inc_x is None or val < inc_val) and model.max_violation(x) <= INC_TOL:
             inc_x, inc_val = x, val
 
     def vet_cuts(x: np.ndarray) -> bool:
@@ -682,13 +706,23 @@ def solve_mip(
         return x, val, start
 
     def propose(proposal: np.ndarray | None, start: WarmStart) -> None:
-        """Complete a proposal by the fixed-binary LP and offer its point."""
+        """Offer a proposal's point: itself when feasible, else the LP's.
+
+        A proposal with 0/1 binaries that passes the row check is a point
+        of the model already; any other is completed by the LP with its
+        rounded binaries fixed.
+        """
         if proposal is None:
             return
         vals = np.where(proposal[binaries] >= 0.5, 1.0, 0.0)
         if obj_on_binaries and inc_x is not None and cost[binaries] @ vals >= inc_val:
             return
-        x, val, _ = solve(dict(zip(binaries.tolist(), vals.tolist())), start)
+        if np.array_equal(proposal[binaries], vals) and (
+            model.max_violation(proposal) <= INC_TOL
+        ):
+            x, val = proposal, float(cost @ proposal)
+        else:
+            x, val, _ = solve(dict(zip(binaries.tolist(), vals.tolist())), start)
         if x is not None and not vet_cuts(x):
             try_incumbent(x, val)
 
@@ -738,7 +772,7 @@ def solve_mip(
         if heuristic is not None and branched & (branched - 1) == 0:
             propose(heuristic(x), start)  # at branched nodes 0, 1, 2, 4, 8, ...
         branched += 1
-        if root:  # LP rounding, once
+        if root and heuristic is None:  # LP rounding, once
             propose(x, start)
         if pruned(val):
             continue

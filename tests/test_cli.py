@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import time
 
 import pytest
@@ -310,6 +311,23 @@ def test_bench_lp_value_is_the_root_lp(tmp_path):
                     cli.bench_task(str(path), "dom_cuts", 30.0)):
             assert rec.solved, label
             assert rec.lp_value == pytest.approx(want, abs=1e-9), label
+
+
+def test_bench_lp_value_follows_the_route_auto_takes(tmp_path):
+    # auto routes this instance to the dom MIP, so its row carries the dom
+    # root value; an exact route has no root LP
+    inst = asd.make_instance("ER_pRand_dRand_G2", 12, 0)
+    path = tmp_path / "routed.json"
+    asd.write_instance(inst, path)
+    auto = cli.bench_task(str(path), "auto", 30.0)
+    dom = cli.bench_task(str(path), "dom", 30.0)
+    assert asd.solve_auto(inst).method == "dom"
+    assert auto.solved and auto.lp_value == dom.lp_value
+    assert auto.lp_value == asd.lp_bound(asd.preprocess_deadline(inst), "dom")
+    box = dataclasses.replace(inst, delta=asd.Box(inst.delta.dhat))
+    asd.write_instance(box, path)
+    rec = cli.bench_task(str(path), "auto", 30.0)
+    assert rec.solved and math.isnan(rec.lp_value)
 
 
 def test_bench_task_cuts_is_dom_cuts(tmp_path, fig_budget):

@@ -268,10 +268,10 @@ def test_solve_auto_routes(fig_box, fig_budget):
         asd.solve_method(fig_budget, "magic")
     rep = asd.solve_auto(uzero)
     assert rep.method == "u_lp"
-    assert rep.objective == pytest.approx(asd.solve_brute(uzero).objective)
+    assert rep.objective == pytest.approx(asd.solve_method(uzero, "brute").objective)
     rep = asd.solve_auto(crit)
     assert rep.method == "critical_reduction"
-    assert rep.objective == pytest.approx(asd.solve_brute(crit).objective)
+    assert rep.objective == pytest.approx(asd.solve_method(crit, "brute").objective)
     # a budget-1 set whose support fits the budget has a greatest point
     wide = dataclasses.replace(
         fig_budget, delta=asd.Budgeted((0.0, 0.0, 0.0, 0.0, 1.0), 1)
@@ -327,11 +327,11 @@ def test_solve_auto_agrees_with_brute_everywhere():
         )
         rep = asd.solve_auto(inst)
         assert rep.solved
-        assert rep.objective == pytest.approx(asd.solve_brute(inst).objective)
+        assert rep.objective == pytest.approx(asd.solve_method(inst, "brute").objective)
 
 
 def test_report_shapes(fig_box, fig_budget):
-    rep = asd.solve_brute(fig_box)
+    rep = asd.solve_method(fig_box, "brute")
     assert rep.method == "brute" and rep.solved
     assert rep.bound == rep.objective and rep.gap == 0.0 and rep.nodes == 0
     assert rep.solution is not None and rep.runtime >= 0.0

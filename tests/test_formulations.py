@@ -1,4 +1,4 @@
-"""Model builders, relaxation bounds, rounded bounds, chain separation."""
+"""Model builders, relaxation bounds, heuristics, presolve, chain separation."""
 
 import hashlib
 
@@ -15,7 +15,13 @@ from anchorsched.formulations import (
     _matrices,
     _unanchorable,
 )
-from anchorsched.milp import _lp
+from anchorsched.instances import (
+    DEVIATION_CLASSES,
+    GRAPH_FAMILIES,
+    PROCESSING_CLASSES,
+    UNCERTAINTY_FIELDS,
+)
+from anchorsched.milp import INC_TOL, _lp, _simplex, _tableau
 
 from .conftest import five_job_graph
 from .oracles import (
@@ -127,69 +133,6 @@ def test_dom_lay_premise_matches_the_pair_loop():
     assert 5 <= outcomes.count(False) <= 75  # both outcomes seen
 
 
-def test_chvatal_bound_golden(fig_box):
-    l0, ld = _matrices(fig_box, None, None)
-    # job 5: slack 4.5 - (2 + 2) = 0.5 against a worst-case gain of 1
-    assert asd.chvatal_bound(fig_box, l0, ld, 5) == 0
-    # job 1 lies on a slack path: bound is not restrictive
-    assert asd.chvatal_bound(fig_box, l0, ld, 1) in (1, None)
-    m = asd.build_dom(fig_box)
-    added = asd.add_chvatal_rows(m, fig_box, l0, ld)
-    assert added >= 1
-    res = asd.solve_mip(m)
-    assert res.status == "Optimal" and res.value == pytest.approx(4.0)
-
-
-def test_chvatal_bounds_are_valid():
-    rng = np.random.default_rng(37)
-    for _ in range(10):
-        n = int(rng.integers(3, 7))
-        g = asd.PrecedenceGraph(
-            n, random_dag(rng, n), rng.integers(1, 4, n).astype(float)
-        )
-        dhat = tuple(rng.integers(1, 3, n).astype(float))
-        nominal = asd.single_source_longest(g, 0, g.p)[g.t]
-        inst = asd.Instance(
-            graph=g,
-            delta=asd.Budgeted(dhat, int(rng.integers(1, n + 1))),
-            deadline=float(nominal + rng.integers(0, 4)),
-            weights=np.ones(n),
-            meta={},
-        )
-        l0, ld = _matrices(inst, None, None)
-        sol = asd.brute_force_optimum(inst)
-        for j in g.jobs:
-            b = asd.chvatal_bound(inst, l0, ld, j)
-            if b == 0:
-                assert j not in sol.anchored  # bound excludes j at optimum
-        # adding the rows to any formulation must not cut the optimum
-        for build in (asd.build_std, asd.build_dom, asd.build_lay):
-            m = build(inst)
-            asd.add_chvatal_rows(m, inst, l0, ld)
-            res = asd.solve_mip(m)
-            assert res.status == "Optimal", m.name
-            assert res.value == pytest.approx(sol.objective, abs=1e-6), m.name
-
-
-def test_chvatal_bound_keeps_a_job_the_oracle_accepts_within_eps():
-    # chain 1 -> 2 with dhat_1 = 1: LD(s, 2) + L0(2, t) = 3, and the deadline
-    # 0.5 EPS below that; {2} is anchorable, so h_2 keeps its bound of 1 and
-    # the rows leave the optimum of 2
-    g = asd.PrecedenceGraph(2, [(0, 1), (1, 2), (2, 3)], [1.0, 1.0])
-    inst = asd.Instance(
-        graph=g, delta=asd.Budgeted((1.0, 0.0), 1),
-        deadline=3.0 - 0.5 * asd.graph.EPS, weights=np.ones(2), meta={},
-    )
-    l0, ld = _matrices(inst, None, None)
-    assert asd.is_anchored_set(g, ld, [2], inst.deadline)
-    assert asd.chvatal_bound(inst, l0, ld, 2) == 1
-    want = asd.brute_force_optimum(inst).objective
-    assert want == 2.0
-    m = asd.build_dom(inst)
-    assert asd.add_chvatal_rows(m, inst, l0, ld) == 0
-    assert asd.solve_mip(m).value == want
-
-
 def _fixed_jobs(model, fixings):
     """The jobs j whose h_j a presolve fixes to 0 in ``model``."""
     assert set(fixings.values()) <= {0.0}
@@ -232,6 +175,7 @@ def test_presolve_keeps_a_job_the_oracle_accepts_within_eps():
         )
         want = asd.brute_force_optimum(inst).objective
         assert want == (1.0 if fixed else 2.0)
+        assert asd.solve_mip(model).value == want  # no presolve, no heuristic
         for which in ("std", "dom", "lay"):
             assert asd.solve_formulation(inst, which)[0].value == want, which
         assert asd.solve_dom_cuts(inst)[0].value == want
@@ -384,25 +328,92 @@ def test_greedy_heuristic_proposes_maximal_anchored_sets():
                 pass
         for _ in range(2):
             h = rng.random(g.n)
-            sets = set()
+            sets, cands = set(), []
             for model in models:
                 # h read and proposed at the model's h indices, every other
-                # entry ignored and proposed as 0
+                # entry ignored
                 h_index = [model.var_index(f"h_{j}") for j in g.jobs]
                 x = np.full(model.n_vars, 0.5)
                 x[h_index] = h
                 cand = _greedy_anchored_heuristic(inst, ld, model)(x)
                 assert cand is not None and cand.shape == (model.n_vars,)
-                assert not np.any(np.delete(cand, h_index))
                 # the LP with the proposed binaries fixed completes it
                 fixes = {i: cand[i] for i in model.binaries()}
                 assert _lp(model, fixes)[0].status == "Optimal", (trial, model.name)
                 sets.add(tuple(cand[h_index]))
+                cands.append((model, cand, h_index))
             (chosen,) = sets  # the same set for every model
             H = [j for j in g.jobs if chosen[j - 1] == 1.0]
             assert asd.is_anchored_set(g, ld, H, M)
             for j in set(g.jobs) - set(H):
                 assert not asd.is_anchored_set(g, ld, H + [j], M), (trial, j)
+            # std and dom get the set's dominant baseline, a point of the
+            # model; lay gets 0 off h
+            want = asd.dominant_schedule(g, ld, H).start
+            for model, cand, h_index in cands:
+                if model.name == "lay":
+                    assert not np.any(np.delete(cand, h_index))
+                    continue
+                assert np.array_equal(cand[: g.t + 1], want), (trial, model.name)
+                assert model.max_violation(cand) <= INC_TOL, (trial, model.name)
+
+
+def _basis_cases():
+    """The 60 paper classes at n = 20 (seed 0), and all six set kinds at n <= 12."""
+    for f in GRAPH_FAMILIES:
+        for p in PROCESSING_CLASSES:
+            for d in DEVIATION_CLASSES:
+                for u in UNCERTAINTY_FIELDS:
+                    yield asd.make_instance(f"{f}_{p}_{d}_{u}", 20, 0)
+    rng = np.random.default_rng(71)
+    kinds = ("box", "budget", "one", "partition", "mixed", "scenarios")
+    for trial in range(24):
+        yield random_instance(rng, int(rng.integers(2, 13)), kinds[trial % 6], True)
+
+
+def test_dominant_start_is_a_basis_that_saves_root_pivots():
+    # std and dom attach the all-anchored dominant basis: _tableau accepts
+    # it, and their LPs end as from the slack basis in fewer pivots
+    pivots = {"std": [0, 0], "dom": [0, 0]}
+    for inst in _basis_cases():
+        for which in pivots:
+            model = _build(inst, which)[0]
+            A, lo, hi, c = model._standard_form()
+            start = model.start
+            assert _tableau(A, -c, lo, hi, start.basis, start.upper) is not None
+            warm = _simplex(model, None)
+            model.start = None
+            cold = _simplex(model, None)
+            assert warm[0] == cold[0], (inst.meta, which)
+            if warm[0] == "Optimal":
+                assert abs(c @ warm[1] - c @ cold[1]) <= 1e-9, (inst.meta, which)
+            pivots[which][0] += warm[2]
+            pivots[which][1] += cold[2]
+    for which, (warm, cold) in pivots.items():
+        assert warm < cold, which
+
+
+def test_schedule_models_complete_no_proposal_by_an_lp(monkeypatch):
+    # std and dom take the greedy's dominant baseline as it is; lay still
+    # completes its proposals by the LP with every binary fixed
+    import anchorsched.milp as milp
+
+    completed = []
+
+    def counting(model, fixes, start=None):
+        if fixes and set(model.binaries()) <= set(fixes):
+            completed.append(model.name)
+        return _simplex(model, fixes, start)
+
+    monkeypatch.setattr(milp, "_simplex", counting)
+    for label in ("ER_pRand_dRand_G2", "SP_pRand_dRand_G1", "ER_pQCri_dUnif_G3"):
+        inst = asd.make_instance(label, 12, 0)
+        want = asd.brute_force_optimum(inst).objective
+        for which in ("std", "dom", "lay"):
+            res, _ = asd.solve_formulation(inst, which)
+            assert res.status == "Optimal" and res.value == want, (label, which)
+    assert "lay" in completed
+    assert not {"std", "dom"} & set(completed)
 
 
 def test_greedy_heuristic_matches_from_scratch_rule():

@@ -319,6 +319,43 @@ def test_warm_start_falls_back_to_cold():
     assert _simplex(m, None, cold[3])[2] == 0  # the optimal pair needs no pivot
 
 
+def test_model_start_is_the_default_and_falls_back_to_cold():
+    # the basis a model carries starts an LP given no other; one that
+    # _tableau rejects leaves the slack basis, and new columns drop it
+    m = MipModel()
+    m.add_var("x", 0.0, 4.0)
+    m.add_var("y", 0.0, 4.0)
+    m.add_row({"x": 1.0, "y": 1.0}, "<=", 6.0)
+    m.set_objective({"x": 1.0, "y": 2.0}, maximize=True)
+    cold = _simplex(m, None)
+    assert cold[0] == "Optimal" and cold[2] == 1
+    m.start = WarmStart(cold[3].basis, cold[3].upper)
+    warm = _simplex(m, None)
+    assert warm[2] == 0 and np.array_equal(warm[1], cold[1])
+    m.start = WarmStart(np.array([2]), cold[3].upper)  # the logical, x at 0
+    A, lo, hi, c = m._standard_form()
+    assert _tableau(A, -c, lo, hi, m.start.basis, m.start.upper) is None
+    assert _simplex(m, None)[2] == 1  # dual infeasible: the cold start
+    m.add_var("w", 0.0, 1.0)
+    assert m.start is None
+
+
+def test_root_rounding_proposes_only_without_a_heuristic():
+    # rounding the fractional root LP gives an optimal set here; it is the
+    # incumbent source of a call with no heuristic, and is skipped with one
+    inst = asd.make_instance("ER_pZero_dRand_G3", 12, 0)
+    root = asd.solve_lp(asd.build_dom(inst))
+    h = np.array([root.x[f"h_{j}"] for j in inst.graph.jobs])
+    assert np.any(np.abs(h - np.round(h)) > 1e-6)
+    stop = SolveParams(time_limit=0.0)  # the root alone
+    res = asd.solve_mip(asd.build_dom(inst), stop)
+    assert res.status == "Optimal" and res.nodes == 1
+    assert [res.x[f"h_{j}"] for j in inst.graph.jobs] == np.round(h).tolist()
+    assert res.value == asd.brute_force_optimum(inst).objective
+    res = asd.solve_mip(asd.build_dom(inst), stop, heuristic=lambda x: None)
+    assert res.status == "TimeLimit" and res.x is None
+
+
 def _counting_tableau(monkeypatch):
     """Wrap milp._tableau; the returned list gets one entry per call."""
     import anchorsched.milp as milp
@@ -476,29 +513,43 @@ def test_root_lp_is_solved_once(monkeypatch):
 
 def test_proposal_that_cannot_win_runs_no_lp(monkeypatch):
     # the objective lies on the binaries, so a proposal weighing no more
-    # than the incumbent is dropped before the LP that would complete it
+    # than the incumbent is dropped before the row check that would take it
+    # as it is and before the LP that would complete it
     import anchorsched.milp as milp
 
-    inst = asd.make_instance("SP_pZero_dUnif_G1", 20, 0)
-    model = asd.build_dom(inst)
-    empty = np.zeros(model.n_vars)
-    proposed, completed = [], []
+    # the empty set at schedule 0: a point of the pZero model, not of pRand
+    for label, lps in (("SP_pZero_dUnif_G1", 0), ("SP_pRand_dUnif_G1", 1)):
+        inst = asd.make_instance(label, 20, 0)
+        model = asd.build_dom(inst)
+        empty = np.zeros(model.n_vars)
+        events = []
+        check = model.max_violation
 
-    def heuristic(x):
-        proposed.append(True)
-        return empty
+        def heuristic(x):
+            events.append("propose")
+            return empty
 
-    def counting(model, fixes, start=None):
-        if fixes and len(fixes) == inst.graph.n and not any(fixes.values()):
-            completed.append(True)
-        return _simplex(model, fixes, start)
+        def checking(x):
+            if x is empty:
+                events.append("check")
+            return check(x)
 
-    monkeypatch.setattr(milp, "_simplex", counting)
-    res = asd.solve_mip(model, heuristic=heuristic)
-    # only the root proposal, made before any incumbent, is completed
-    assert len(proposed) > 1 and len(completed) == 1
-    ref = asd.brute_force_optimum(inst)
-    assert res.status == "Optimal" and res.value == pytest.approx(ref.objective)
+        def counting(model, fixes, start=None):
+            if fixes and len(fixes) == inst.graph.n and not any(fixes.values()):
+                events.append("lp")
+            return _simplex(model, fixes, start)
+
+        monkeypatch.setattr(model, "max_violation", checking)
+        monkeypatch.setattr(milp, "_simplex", counting)
+        res = asd.solve_mip(model, heuristic=heuristic)
+        # only the root proposal, made before any incumbent, is checked, and
+        # completed by an LP when it is no point of the model
+        later = events.index("propose", 1)
+        assert events[:later].count("lp") == lps, label
+        assert "check" in events[:later], label
+        assert set(events[later:]) == {"propose"}, label
+        ref = asd.brute_force_optimum(inst)
+        assert res.status == "Optimal" and res.value == pytest.approx(ref.objective)
 
 
 def test_lp_statuses():
