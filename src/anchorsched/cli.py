@@ -497,6 +497,12 @@ def console_main(argv=None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return _EXIT_PARSE
     try:
+        # numbers argparse takes that no run can use (nan fails the test too)
+        for flag, least in (("n", 1), ("count", 1), ("time_limit", 0)):
+            value = getattr(args, flag, least)
+            if not value >= least:
+                name = "--" + flag.replace("_", "-")
+                raise ParseError(f"{name} must be at least {least}, got {value}")
         return args.func(args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)

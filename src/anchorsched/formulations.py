@@ -21,7 +21,7 @@ Three equivalent mixed-integer models over binary anchoring indicators h:
 
 Each builder computes its rows with numpy, as index and coefficient arrays,
 and appends them to the model as one dense block (``MipModel.add_rows``).
-``std`` and ``dom`` also attach the basis of the all-anchored dominant
+``std`` and ``dom`` also attach the basis of the presolved dominant
 schedule, which their LPs start from (``_dominant_start``).
 
 The h-projections of the ``dom`` and ``lay`` relaxations are described by
@@ -124,24 +124,26 @@ def _schedule_model(name: str, inst: Instance, prefix: str, ub: float) -> MipMod
 
 
 def _dominant_start(model: MipModel, inst: Instance, ld) -> None:
-    """Attach the basis of the all-anchored dominant schedule as ``model.start``.
+    """Attach the basis of the presolved dominant schedule as ``model.start``.
 
-    For the schedule layout of ``_schedule_model``.  At the point with every
-    h = 1, z the dominant baseline of all jobs (``_anchored_starts``) and z_t
-    its makespan, each schedule column j = 1..n, t becomes basic in the
-    first row with +1 on j that is tight there; every other row keeps its
-    logical, a nonbasic one at its finite bound, and h stays at the bound
-    its cost prefers, as in the slack basis.  A row's other schedule entry
-    is a predecessor of its head, so in topological order the basic block is
-    unit triangular; the schedule columns cost 0, so the duals are 0 and the
-    basis is dual feasible.  The dual simplex then only repairs what the
-    deadline and the bounds on z reject.
+    For the schedule layout of ``_schedule_model``.  At the presolved point
+    (h = 0 on the fixings of ``_unanchorable``, else 1, and z the dominant
+    baseline of the jobs with h = 1), each schedule column j = 1..n, t
+    becomes basic in the first row with +1 on j that is tight there; every
+    other row keeps its logical, a nonbasic one at its finite bound, and h
+    stays at the bound its cost prefers (or at its fixing).  A row's other
+    schedule entry is a predecessor of its head, so in topological order
+    the basic block is unit triangular; the schedule columns cost 0, so the
+    duals are 0 and the basis is dual feasible with or without the fixings.
+    Under them the LP starts at the presolved point, and the dual simplex
+    only repairs what the deadline and the bounds on z reject.
     """
     g = inst.graph
-    nodes, z = _anchored_starts(g, ld, g.jobs)
+    fixed = _unanchorable(inst, ld, model)
     point = np.ones(model.n_vars)
-    point[nodes] = z
-    point[g.t] = (z + g.to_sink()[nodes]).max()
+    point[list(fixed)] = 0.0
+    jobs = [j for j in g.jobs if g.t + j not in fixed]
+    point[: g.t + 1] = _fill_starts(g, *_anchored_starts(g, ld, jobs))
     A, lo, hi, c = model._standard_form()
     m, n = A.shape
     act = A @ point
@@ -174,7 +176,7 @@ def build_std(
     (i, j) the row x_j - x_i >= LD(i, j)(h_i + h_j - 1) with h_s = 1 and
     h_t = 0 substituted.  The upper bound M on x is implied by the arc rows
     and the deadline, so declaring it cuts nothing.  Its LPs start from the
-    all-anchored dominant basis (``_dominant_start``).
+    presolved dominant basis (``_dominant_start``).
     """
     g = inst.graph
     if ld is None:
@@ -277,7 +279,7 @@ def build_dom(
     every z by M, so the declared upper bounds cut nothing.  Pair rows that
     are already implied through an intermediate job are omitted; the
     feasible region is identical (see ``_implied_heads``).  Its LPs start
-    from the all-anchored dominant basis (``_dominant_start``).
+    from the presolved dominant basis (``_dominant_start``).
     """
     l0, ld = _matrices(inst, l0, ld)
     g = inst.graph

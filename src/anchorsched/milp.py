@@ -35,29 +35,27 @@ own vectors, one value per variable in model order, and minimizes (the
 negated costs of a maximized model): callbacks and heuristics see those
 vectors, and only the returned incumbent is named.
 
-The root LP starts from the basis the model carries (``MipModel.start``,
-which a builder may attach as a crash basis; Bixby, *ORSA J. Computing*
-4(3), 1992), else from the slack basis.  Every other LP starts from the
-final basis and at-upper flags of an earlier one: a node from its parent's
-(both children share the pair), the completion of a proposal from the
-basis of the node that proposed it, and a re-solve after cuts or after the
-root's fixings from the node's own, with each new row's logical joining the
-basis.  A branch fixes a binary that was basic, and a new logical has zero
-cost, so the basis stays dual feasible and the same dual phase re-optimizes
-it, usually in a few pivots (Achterberg, *Constraint Integer Programming*,
-2007).  The start is that LP's final tableau itself, kept with its values:
-a branched binary that was basic just breaks its new bound, and a binary a
-proposal fixes at its other bound while nonbasic moves there, the basic
-values following by its column.  A branched node hands its tableau to both
-children; the first child popped solves from a copy and the last one in
-place, and a proposal always solves from a copy.  KEEP_CELLS, a memory
-guard, bounds the cells of the tableaux that open nodes hold; a node over
-it hands its children the basis alone.  A seeded LP is accepted only when
-its residual max |A x - s| is at most FEAS_TOL; otherwise, and when there
-is no kept tableau or rows were added since (cuts), the tableau of the
-start's basis is rebuilt from one k x k block inverse over its k basic
-structurals, not from an m x m solve (Koberstein 2005 pairs such a check
-with refactorization).
+The root LP, with or without the root's fixings, starts from the basis the
+model carries (``MipModel.start``, which a builder may attach as a crash
+basis; Bixby, *ORSA J. Computing* 4(3), 1992), else from the slack basis.
+Every other LP starts from the final basis and at-upper flags of an
+earlier one: a node from its parent's (both children share the pair), the
+completion of a proposal from the basis of the node that proposed it, and
+a re-solve after cuts from the node's own, with each new row's logical
+joining the basis.  A branch fixes a binary that was basic, and a new
+logical has zero cost, so the basis stays dual feasible and the same dual
+phase re-optimizes it, usually in a few pivots (Achterberg, *Constraint
+Integer Programming*, 2007).  An LP whose new bounds move no nonbasic
+column (a branch) starts from that LP's final tableau itself, kept with
+its values.  A branched node hands its tableau to both children; the first
+child popped solves from a copy and the last one in place, and a proposal
+always solves from a copy.  KEEP_CELLS, a memory guard, bounds the cells
+of the tableaux that open nodes hold; a node over it hands its children
+the basis alone.  Any other LP rebuilds the tableau of its start's basis
+from one k x k block inverse over its k basic structurals, not from an
+m x m solve.  Each result is accepted only when its residual max |A x - s|
+is at most FEAS_TOL, else the next start is tried, the slack basis last
+(Koberstein 2005 pairs such a check with refactorization).
 
 Models can be written to and re-read from the textual LP format (sections
 Maximize/Subject To/Bounds/Binary/End).
@@ -381,13 +379,14 @@ def _tableau(A, cost, lo, hi, basis, upper):
 
     K is the basic structurals (k of them), L the rows whose logical is
     basic and R the other k rows; every nonbasic column sits at the bound
-    its ``upper`` flag names.  With W = A_RK^-1 on the rows of K and
-    A_LK A_RK^-1 on the rows of L, the tableau rows are W [A_R | -I_R], less
-    [A_L | -I_L] on the rows of L; x_K = A_RK^-1 (s_R - A_RN x_N),
-    s_L = A_L x and d = c - c_K T_K.  So one k x k inverse and one
-    (m x k)(k x n) product build it, and the unit columns of the basis are
-    filled exactly.  None when A_RK is singular or a nonbasic reduced cost
-    has the wrong sign for its bound by more than FEAS_TOL.
+    its ``upper`` flag names, a fixed one at its fixed value.  With
+    W = A_RK^-1 on the rows of K and A_LK A_RK^-1 on the rows of L, the
+    tableau rows are W [A_R | -I_R], less [A_L | -I_L] on the rows of L;
+    x_K = A_RK^-1 (s_R - A_RN x_N), s_L = A_L x and d = c - c_K T_K.  So
+    one k x k inverse and one (m x k)(k x n) product build it, and the unit
+    columns of the basis are filled exactly.  None when A_RK is singular or
+    a nonbasic reduced cost has the wrong sign for its bound by more than
+    FEAS_TOL.
     """
     m, n = A.shape
     pos_k = np.flatnonzero(basis < n)
@@ -452,89 +451,81 @@ class WarmStart:
 def _seed(start: WarmStart, lo, hi):
     """The kept tableau of ``start`` under new bounds, as (T, z, basis), or None.
 
-    A basic variable keeps its value, which the dual phase repairs if it now
-    breaks a bound (a branch on a basic binary).  A nonbasic one whose bounds
-    tightened, or that is fixed at another value (a binary a proposal fixes
-    at its other bound), moves to the nearer new bound, and the basic values
-    follow by its column of T; at the bound it moved to, its reduced cost
-    still has the right sign, or it is fixed and never enters.  None when
-    the model gained rows since, or a free nonbasic had a bound loosened,
-    which could leave the basis dual infeasible.
+    A basic value that now breaks a bound (a branch on a basic binary) is
+    left to the dual phase.  None when the model gained rows since, a bound
+    was loosened, or a nonbasic value lies outside its new bounds (a binary
+    a proposal fixes at its other bound), as the basis could then be dual
+    infeasible or need a column moved.
     """
     T = start.T
-    if T is None or T.shape[1] != len(lo):
+    if T is None or T.shape[1] != len(lo) or ((lo < start.lo) | (hi > start.hi)).any():
         return None
-    z, basis = start.z.copy(), start.basis.copy()
-    changed = ((lo != start.lo) | (hi != start.hi)).nonzero()[0]
-    if changed.size:
-        basic = np.zeros(len(z), dtype=bool)
-        basic[basis] = True
-        j = changed[~basic[changed]]
-        lo_j, hi_j, z_j = lo[j], hi[j], z[j]
-        if (((lo_j < start.lo[j]) | (hi_j > start.hi[j])) & (lo_j < hi_j)).any():
-            return None
-        step = np.minimum(np.maximum(z_j, lo_j), hi_j) - z_j
-        z[basis] -= T[: len(basis), j] @ step
-        z[j] = z_j + step
+    outside = (start.z < lo) | (start.z > hi)
+    outside[start.basis] = False
+    if outside.any():
+        return None
     if not start.owned:
         T = T.copy(order="F")
-    return T, z, basis
+    return T, start.z.copy(), start.basis.copy()
+
+
+def _starts(A, cost, lo, hi, start):
+    """The tableaux an LP tries in turn, as (T, z, basis).
+
+    The kept tableau of ``start`` (``_seed``), then the tableaux of its
+    basis and of the slack basis (every structural at the bound its cost
+    prefers), the logicals of rows a basis lacks joining it; a basis that
+    ``_tableau`` rejects yields nothing.
+    """
+    m, n = A.shape
+    tries = [WarmStart(np.arange(0), cost < 0)]  # the slack basis
+    if start is not None:
+        tries.insert(0, start)
+        seeded = _seed(start, lo, hi)
+        if seeded is not None:
+            yield seeded
+    for tried in tries:
+        new = np.arange(n + len(tried.basis), n + m)
+        basis = np.concatenate([tried.basis, new])
+        upper = np.concatenate([tried.upper, np.zeros(len(new), dtype=bool)])
+        built = _tableau(A, cost, lo, hi, basis, upper)
+        if built is not None:
+            yield (*built, basis)
 
 
 def _simplex(model: MipModel, fixes: dict[int, float] | None, start=None):
     """Solve the LP relaxation (integrality ignored) with bound overrides.
 
     Standard form ``A x - s = 0``: structurals keep their bounds (a fix sets
-    lb = ub), and the logical s of each row is bounded by its sense.  The
-    cold start is all logicals basic with every structural at the bound its
-    cost prefers, which is dual feasible.  ``start`` is the ``WarmStart`` an
-    earlier Optimal solve of this model returned; without one the solve
-    starts from the basis the model carries (``model.start``), if any.  A
-    kept tableau seeds the solve (``_seed``), and the result is accepted only
-    when the residual max |A x - s| is at most FEAS_TOL, one matrix-vector
-    product.  Otherwise the tableau of the start's basis comes from
-    ``_tableau``, rows added since joining the basis with their logical, and
-    the solve starts cold when that returns None.
-    Returns (status, x_full, iterations, final) where status is "Optimal"
-    or "Infeasible", x_full is a full variable-value vector and final the
-    ``WarmStart`` of this solve (both None unless Optimal).  Raises
-    NumericalFailure when the pivot limit is exhausted.
+    lb = ub), and the logical s of each row is bounded by its sense.
+    ``start`` is the ``WarmStart`` an earlier Optimal solve of this model
+    returned, else ``model.start``, if any.  The dual phase runs from each
+    of ``_starts`` in turn until its result passes the residual check,
+    max |A x - s| at most FEAS_TOL (one matrix-vector product); the slack
+    basis's result is taken as it is.  Returns (status, x_full, iterations,
+    final) where status is "Optimal" or "Infeasible", x_full is a full
+    variable-value vector and final the ``WarmStart`` of this solve (both
+    None unless Optimal).  Raises NumericalFailure when the pivot limit is
+    exhausted.
     """
     A, lo, hi, c = model._standard_form()  # lo and hi are fresh copies
-    m, n = A.shape
+    n = A.shape[1]
     if fixes:
         for idx, val in fixes.items():
             if val < lo[idx] - FEAS_TOL or val > hi[idx] + FEAS_TOL:
                 return "Infeasible", None, 0, None
             lo[idx] = hi[idx] = val
     cost = -c if model.maximize else c
-    iterations = 0
     if start is None:
         start = model.start
-    seeded = None if start is None else _seed(start, lo, hi)
-    if seeded is not None:
-        T, z, basis = seeded
-        status, iterations = _kernels.dual_phase(
-            T, basis, z, lo, hi, BLAND_AFTER, MAX_PIVOTS, FEAS_TOL, PIVOT_TOL
-        )
-        if np.max(np.abs(A @ z[:n] - z[n:]), initial=0.0) > FEAS_TOL:
-            seeded = None  # the kept tableau drifted: rebuild it
-    if seeded is None:
-        built = None
-        if start is not None:
-            new = np.arange(n + len(start.basis), n + m)
-            basis = np.concatenate([start.basis, new])
-            upper = np.concatenate([start.upper, np.zeros(len(new), dtype=bool)])
-            built = _tableau(A, cost, lo, hi, basis, upper)
-        if built is None:
-            basis = np.arange(n, n + m)
-            upper = np.concatenate([cost < 0, np.zeros(m, dtype=bool)])
-            built = _tableau(A, cost, lo, hi, basis, upper)
-        T, z = built
+    iterations = 0
+    for T, z, basis in _starts(A, cost, lo, hi, start):
         status, pivots = _kernels.dual_phase(
             T, basis, z, lo, hi, BLAND_AFTER, MAX_PIVOTS, FEAS_TOL, PIVOT_TOL
         )
         iterations += pivots
+        if np.max(np.abs(A @ z[:n] - z[n:]), initial=0.0) <= FEAS_TOL:
+            break  # else the tableau drifted: try the next start
     if status == 2:
         raise NumericalFailure(f"pivot limit {MAX_PIVOTS} hit")
     if status == 1:
@@ -612,9 +603,10 @@ def solve_mip(
     model itself is left as it is.  The root LP and its separation run
     without them, so ``root_value`` is the model's own relaxation.  Then
     they become the root's fixes, inherited by every child; the root
-    re-solves warm from its own basis (and separates again) only when its
-    point breaks one of them by more than FEAS_TOL.  A fixing that no
-    feasible point meets ends the search Infeasible.
+    re-solves (and separates again) only when its point breaks one of them
+    by more than FEAS_TOL, from the start the root LP took (``model.start``,
+    else the slack basis).  A fixing that no feasible point meets ends the
+    search Infeasible.
 
     ``heuristic(x)`` turns the separated LP point of a node it branches into
     a proposal, a full vector (None proposes nothing).  It runs on a
@@ -759,8 +751,7 @@ def solve_mip(
             # root_value is the model's own; the fixings bind from here on
             fixes = dict(fixed or {})
             if any(abs(x[i] - v) > FEAS_TOL for i, v in fixes.items()):
-                start.owned = True
-                x, val, start = solve_node(fixes, start)
+                x, val, start = solve_node(fixes, None)  # the root's own start
         if x is None:
             continue
         if pruned(val):

@@ -97,6 +97,26 @@ def test_generate_bad_label_exit_code(tmp_path):
     assert rc == 4
 
 
+def test_numbers_no_run_can_use_exit_parse(tmp_path, capsys, fig_box):
+    # each is one line on stderr and exit 4, with nothing written; an
+    # infinite time limit is no limit
+    gen = ["generate", "--label", "SP_pRand_dRand_G1", "--out", str(tmp_path)]
+    for bad in (["--n", "0"], ["--n", "-3"], ["--n", "5", "--count", "-1"],
+                ["--n", "5", "--count", "0"]):
+        assert console_main(gen + bad) == 4, bad
+        assert len(capsys.readouterr().err.splitlines()) == 1, bad
+    assert not list(tmp_path.iterdir())
+    path = _write(tmp_path, fig_box)
+    for limit in ("nan", "-1", "-inf"):
+        flag = f"--time-limit={limit}"
+        assert console_main(["solve", str(path), flag]) == 4, limit
+        assert console_main(["bench", str(tmp_path), flag]) == 4, limit
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and "--time-limit" in err[0], limit
+    assert console_main(["solve", str(path), "--time-limit", "inf"]) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "Optimal"
+
+
 def test_missing_subcommand_exits_parse():
     assert console_main([]) == 4
     assert console_main(["frobnicate"]) == 4

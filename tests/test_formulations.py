@@ -372,25 +372,44 @@ def _basis_cases():
 
 
 def test_dominant_start_is_a_basis_that_saves_root_pivots():
-    # std and dom attach the all-anchored dominant basis: _tableau accepts
-    # it, and their LPs end as from the slack basis in fewer pivots
-    pivots = {"std": [0, 0], "dom": [0, 0]}
+    # std and dom attach the presolved dominant basis: _tableau accepts it
+    # with and without the presolve's fixings, under the fixings it is the
+    # presolved point, and from it the LPs end as from the slack basis in
+    # fewer pivots
+    pivots = {(which, fixing): [0, 0] for which in ("std", "dom") for fixing in (0, 1)}
+    fixings = 0
     for inst in _basis_cases():
-        for which in pivots:
-            model = _build(inst, which)[0]
+        for which in ("std", "dom"):
+            model, ld = _build(inst, which)
+            fixed = _unanchorable(inst, ld, model)
+            fixings += len(fixed)
             A, lo, hi, c = model._standard_form()
+            h = np.arange(inst.graph.t + 1, model.n_vars)
             start = model.start
-            assert _tableau(A, -c, lo, hi, start.basis, start.upper) is not None
-            warm = _simplex(model, None)
-            model.start = None
-            cold = _simplex(model, None)
-            assert warm[0] == cold[0], (inst.meta, which)
-            if warm[0] == "Optimal":
-                assert abs(c @ warm[1] - c @ cold[1]) <= 1e-9, (inst.meta, which)
-            pivots[which][0] += warm[2]
-            pivots[which][1] += cold[2]
-    for which, (warm, cold) in pivots.items():
-        assert warm < cold, which
+            for fixing, fixes in enumerate(({}, fixed)):
+                case = (inst.meta, which, fixing)
+                lo_f, hi_f = lo.copy(), hi.copy()
+                lo_f[list(fixes)] = hi_f[list(fixes)] = 0.0
+                built = _tableau(A, -c, lo_f, hi_f, start.basis, start.upper)
+                assert built is not None, case
+                if fixing:  # the presolved point: fixed h at 0, the others' baseline
+                    g, z = inst.graph, built[1]
+                    assert set(h[z[h] == 0.0].tolist()) == set(fixed), case
+                    jobs = [j for j in g.jobs if g.t + j not in fixed]
+                    want = asd.dominant_schedule(g, ld, jobs).start
+                    assert np.allclose(z[: g.t + 1], want, rtol=0, atol=1e-9), case
+                model.start = start
+                warm = _simplex(model, fixes)
+                model.start = None
+                cold = _simplex(model, fixes)
+                assert warm[0] == cold[0], case
+                if warm[0] == "Optimal":
+                    assert abs(c @ warm[1] - c @ cold[1]) <= 1e-9, case
+                pivots[which, fixing][0] += warm[2]
+                pivots[which, fixing][1] += cold[2]
+    assert fixings > 100
+    for key, (warm, cold) in pivots.items():
+        assert warm < cold, key
 
 
 def test_schedule_models_complete_no_proposal_by_an_lp(monkeypatch):

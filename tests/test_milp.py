@@ -371,10 +371,12 @@ def _counting_tableau(monkeypatch):
 
 
 def test_kept_tableau_seeds_children(monkeypatch):
-    # a child seeded from its parent's final tableau, with no rebuild, agrees
-    # with the cold solve and HiGHS: a branch fixes a basic binary, and a
-    # proposal fixes every binary, moving the nonbasic ones it fixes at
-    # their other bound; a seed solves from a copy unless handed the tableau
+    # a branch fixes a basic binary: the child is seeded from its parent's
+    # final tableau, with no rebuild, and agrees with the cold solve and
+    # HiGHS; a proposal fixes every binary, and one that fixes a nonbasic
+    # binary at its other bound moves it, so it rebuilds its tableau once
+    # from the parent's basis and agrees as well; a seed solves from a copy
+    # unless handed the tableau
     scipy_opt = pytest.importorskip("scipy.optimize")
     rng = np.random.default_rng(41)
     rebuilds = _counting_tableau(monkeypatch)
@@ -394,7 +396,8 @@ def test_kept_tableau_seeds_children(monkeypatch):
         for kind, fixes in [("branch", f) for f in branches] + [("proposal", proposal)]:
             del rebuilds[:]
             warm = _assert_child(scipy_opt, m, fixes, start, trial)
-            assert len(rebuilds) == 1, trial  # the cold solve's, not the warm one's
+            # the cold solve's, and the warm one's when it moves a column
+            assert len(rebuilds) == 1 + (kind == "proposal" and bool(flipped)), trial
             handed = dataclasses.replace(start, T=start.T.copy(order="F"), owned=True)
             own = _lp(m, fixes, handed)[0]
             assert (own.status, own.value, own.x) == (warm.status, warm.value, warm.x)
@@ -414,7 +417,10 @@ def test_kept_tableau_seeds_children(monkeypatch):
 def test_corrupted_kept_tableau_falls_back_to_a_rebuild(monkeypatch):
     # a kept tableau whose values or columns no longer satisfy A x = s
     # fails the residual check after its dual phase, and the LP is solved
-    # again from the rebuilt tableau of the same basis
+    # again from the rebuilt tableau of the same basis; when that one
+    # drifts too, from the slack basis
+    import anchorsched.milp as milp
+
     scipy_opt = pytest.importorskip("scipy.optimize")
     rng = np.random.default_rng(43)
     rebuilds = _counting_tableau(monkeypatch)
@@ -436,6 +442,21 @@ def test_corrupted_kept_tableau_falls_back_to_a_rebuild(monkeypatch):
         caught += len(rebuilds) == 2  # the cold solve's and the fall back's
         if trial % 2:
             assert len(rebuilds) == 2, trial
+            built = []
+
+            def drifting(A, cost, lo, hi, basis, upper):
+                out = _tableau(A, cost, lo, hi, basis, upper)
+                built.append(basis.copy())
+                if len(built) == 1:  # the rebuilt start: a drifted basic value
+                    out[1][basis[0]] += 1.0
+                return out
+
+            monkeypatch.setattr(milp, "_tableau", drifting)
+            _assert_child(scipy_opt, m, fixes, bad, trial)
+            slack = np.arange(m.n_vars, m.n_vars + len(m.rows))
+            assert np.array_equal(built[0], bad.basis), trial
+            assert len(built) == 3 and np.array_equal(built[1], slack), trial
+            rebuilds = _counting_tableau(monkeypatch)
     assert caught > 40
 
 
@@ -719,14 +740,19 @@ def _fixing_model():
     return m
 
 
-def _counting_simplex(monkeypatch):
-    """Wrap milp._simplex; the returned list gets the fixes of every LP."""
+def _counting_simplex(monkeypatch, starts=None):
+    """Wrap milp._simplex; the returned list gets the fixes of every LP.
+
+    ``starts``, a list when given, gets the start every LP is passed.
+    """
     import anchorsched.milp as milp
 
     calls = []
 
     def counting(model, fixes, start=None):
         calls.append(dict(fixes or {}))
+        if starts is not None:
+            starts.append(start)
         return _simplex(model, fixes, start)
 
     monkeypatch.setattr(milp, "_simplex", counting)
@@ -735,18 +761,23 @@ def _counting_simplex(monkeypatch):
 
 def test_fixings_leave_the_root_value_to_the_model(monkeypatch):
     # the root LP runs without the fixings; then they bind, and the root,
-    # whose point breaks b0 = 0, re-solves with them before branching
+    # whose point breaks b0 = 0, re-solves with them before branching, from
+    # the start the root LP took (start None: the model's, here the slack
+    # basis), not from the root LP's final tableau
     m = _fixing_model()
     lp = asd.solve_lp(m)
     assert lp.value == 4.5 and lp.x["b0"] == 0.5
     assert _enumerate_binary_opt(m) == 2.0
-    calls = _counting_simplex(monkeypatch)
+    starts = []
+    calls = _counting_simplex(monkeypatch, starts)
     res = asd.solve_mip(m, fixed={m.var_index("b0"): 0.0})
     assert res.root_value == lp.value
     assert res.status == "Optimal" and res.value == 2.0
     assert res.x["b0"] == 0.0
     assert calls[0] == {} and calls[1] == {0: 0.0}
     assert all(fixes.get(0) == 0.0 for fixes in calls[1:])
+    assert starts[:2] == [None, None] and len(starts) > 2
+    assert all(isinstance(start, WarmStart) for start in starts[2:])
 
 
 def test_fixing_the_root_point_meets_adds_no_lp(monkeypatch):
