@@ -10,6 +10,9 @@ Workloads cover every accelerated kernel family through public entry points:
 * partitioned worst case — the sweep over mixed-radix budget vectors (for
   both, the budget states left after the height caps and the sweep passes
   of the LD matrix are printed under the table),
+* the box and budgeted worst cases once more on a series-parallel graph
+  (``SP_pRand_dRand_G2``), where most nodes have one incoming arc and the
+  sweep takes its one-arc path (the other n=240 rows are Erdős–Rényi),
 * relaxation bound — the bounded dual simplex (and the two sweeps of L0, LD),
 * exhaustive optimum — the subset makespan scan,
 * branch and bound — the ``dom`` and ``lay`` MIPs, node LPs warm-started by
@@ -43,8 +46,10 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, os.path.join(HERE, os.pardir, "src"))
 
 WORKLOADS = (
-    ("box worst case n=240", "box"),
-    ("budgeted worst case n=240", "budgeted"),
+    ("box worst case n=240", "box ER"),
+    ("box worst case SP n=240", "box SP"),
+    ("budgeted worst case n=240", "budgeted ER"),
+    ("budgeted worst case SP n=240", "budgeted SP"),
     ("partition worst case n=240", "partition"),
     ("relaxation bound n=40", "lp"),
     ("exhaustive optimum n=17", "brute"),
@@ -111,12 +116,12 @@ def _build(tag: str):
     """The timed call of a workload, and a note printed under the table."""
     import anchorsched as asd
 
-    if tag == "box":
-        inst = asd.make_instance("ER_pRand_dRand_G2", 240, 0)
+    if tag.startswith("box "):
+        inst = asd.make_instance(f"{tag.split()[1]}_pRand_dRand_G2", 240, 0)
         delta = asd.Box(inst.delta.dhat)
         return lambda: asd.worst_case_longest_paths(inst.graph, delta), None
-    if tag == "budgeted":
-        return _worst_case("ER_pRand_dRand_G2")
+    if tag.startswith("budgeted "):
+        return _worst_case(f"{tag.split()[1]}_pRand_dRand_G2")
     if tag == "partition":
         return _worst_case("ER_pRand_dRand_Partition")
     if tag == "lp":

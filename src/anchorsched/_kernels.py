@@ -10,7 +10,10 @@ loop build as plain Python against its twin.  The kernels:
   longest-path values of a block of sources i over every budget state st,
   states outside the sources.  Every path matrix goes through it: nominal
   and box (one state), budgeted ((node, used budget) states) and
-  partitioned (mixed-radix budget vectors).
+  partitioned (mixed-radix budget vectors).  The numpy build spends its
+  time on numpy calls per node, so it makes as few as it can: a node with
+  one incoming arc adds the weight to its tail's row, and a pass with one
+  state from one source runs on Python floats.
 * ``dual_phase`` — the bounded dual simplex on a dense tableau: bounds stay
   on the variables, and the start (all logicals, a basis rebuilt, or a
   parent node's final tableau with its values) is dual feasible, so one
@@ -51,7 +54,18 @@ _max = np.maximum
 # stride[g] * n_src contiguous values: viewed as (outer, radix[g],
 # stride[g] * n_src), a node's row shifts by one slice along axis 1.  The
 # numpy build max-reduces a group's deviated arcs over whole contiguous rows,
-# then shifts the result by that one slice.
+# then shifts the result by that one slice.  Per node it takes one of three
+# paths, each with the same add-then-max on every arc as the loop build:
+# * one incoming arc (most nodes of series-parallel graphs): the tail's row
+#   plus the weight, and plus the deviated weight for the shift; no gather,
+#   no reduce;
+# * several arcs, none of them in a group: ``take`` gathers the tails' rows,
+#   the weights are added in place, and one reduce takes the maximum;
+# * several arcs with groups: a fancy-indexed gather, kept for the per-group
+#   slices of the deviated arcs.
+# One state from one source (``budget_height``, single-source longest paths,
+# the generator) skips the rows altogether: the pass runs on ``tolist()``
+# copies of the arcs, weights and values, and writes back once.
 
 
 def _sweep_loop(
@@ -93,14 +107,17 @@ def _sweep_vec(
     val[sources, 0, np.arange(n_src)] = 0.0
     ptr = in_ptr.tolist()
     if len(stride) == 0 and n_src == 1:
-        # one value per node: scalar compares beat row updates here
-        dist = val.reshape(n_nodes)
+        # one value per node: Python floats beat numpy calls here
+        dist = val.reshape(n_nodes).tolist()
+        src, w = in_src.tolist(), wt_nom.tolist()
         for v in topo.tolist():
-            lo, hi = ptr[v], ptr[v + 1]
-            if hi > lo:
-                c = _max.reduce(dist[in_src[lo:hi]] + wt_nom[lo:hi])
-                if c > dist[v]:
-                    dist[v] = c
+            best = dist[v]
+            for k in range(ptr[v], ptr[v + 1]):
+                c = dist[src[k]] + w[k]
+                if c > best:
+                    best = c
+            dist[v] = best
+        val[:, 0, 0] = dist
         return val
     # segs[v] lists the (start, stop, shape) of each group's slice of the arcs
     # into v; shape (outer, radix[g], stride[g] * n_src) puts digit g on axis 1
@@ -118,21 +135,36 @@ def _sweep_vec(
             if g >= 0:
                 rg, sg = int(radix[g]), int(stride[g])
                 segs[head[a]].append((a, b, (n_states // (rg * sg), rg, sg * n_src)))
+    src, w_nom, w_dev = in_src.tolist(), wt_nom.tolist(), wt_dev.tolist()
     wt_nom = wt_nom[:, None, None]
     wt_dev = wt_dev[:, None, None]
     for v in topo.tolist():
         lo, hi = ptr[v], ptr[v + 1]
-        if hi == lo:
+        if hi - lo == 1:  # the tail's row plus the weight: no gather, no reduce
+            tail = val[src[lo]]
+            acc = tail + w_nom[lo]
+            for _, _, shape in segs[v]:
+                _raise_digit(acc, tail + w_dev[lo], shape)
+        elif segs[v]:
+            block = val[in_src[lo:hi]]
+            acc = _max.reduce(block + wt_nom[lo:hi])
+            for a, b, shape in segs[v]:
+                _raise_digit(acc, _max.reduce(block[a - lo : b - lo] + wt_dev[a:b]), shape)
+        elif hi > lo:
+            acc = val.take(in_src[lo:hi], axis=0)
+            acc += wt_nom[lo:hi]
+            acc = _max.reduce(acc)
+        else:
             continue
-        block = val[in_src[lo:hi]]
-        acc = _max.reduce(block + wt_nom[lo:hi])
-        for a, b, shape in segs[v]:
-            dev = _max.reduce(block[a - lo : b - lo] + wt_dev[a:b]).reshape(shape)
-            up = acc.reshape(shape)[:, 1:]
-            _max(up, dev[:, :-1], out=up)
         row = val[v]
         _max(row, acc, out=row)
     return val
+
+
+def _raise_digit(acc, dev, shape):
+    """Max ``dev`` into ``acc`` one budget step up: axis 1 of ``shape`` is the digit."""
+    up = acc.reshape(shape)[:, 1:]
+    _max(up, dev.reshape(shape)[:, :-1], out=up)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ formulation exploits.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -56,12 +57,16 @@ class Instance:
         w = np.asarray(self.weights, dtype=float)
         if w.shape != (self.graph.n,):
             raise ValueError(f"weights must have length n={self.graph.n}")
+        if not np.all(np.isfinite(w)):
+            raise ValueError("weights must be finite")
         if np.any(w < 0):
             raise ValueError("weights must be nonnegative")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "delta", normalize(self.delta, self.graph.n))
         object.__setattr__(self, "deadline", float(self.deadline))
+        if not math.isfinite(self.deadline):
+            raise ValueError("deadline must be finite")
         if n_jobs_of(self.delta) not in (None, self.graph.n):
             raise ValueError("uncertainty set does not match the graph size")
 

@@ -72,6 +72,8 @@ class PrecedenceGraph:
         pv = np.asarray(list(p), dtype=float)
         if pv.shape != (self.n,):
             raise ValueError(f"p must have length n={self.n}, got {pv.shape}")
+        if not np.all(np.isfinite(pv)):
+            raise ValueError("processing times must be finite")
         if np.any(pv < 0):
             raise ValueError("processing times must be nonnegative")
         full = np.zeros(self.n + 2)
@@ -147,7 +149,12 @@ class PrecedenceGraph:
                 raise ValueError(f"job {j} does not lie on any s-t path")
 
     def reachability(self) -> np.ndarray:
-        """Strict transitive closure as a boolean matrix (cached)."""
+        """Strict transitive closure as a boolean matrix (cached).
+
+        A bitset pass over the successor lists, independent of the sweep
+        kernel.  The path matrices read their ``reach`` off their own finite
+        values instead, so this is the oracle they are checked against.
+        """
         if self._reach is None:
             m = self.n + 2
             bits = [0] * m  # bit w of bits[v]: w is reachable from v
@@ -272,7 +279,9 @@ def path_sweep(g: PrecedenceGraph, sources, w_nom, w_dev=None, layout=None, reve
     n_states)`` (see ``_kernels``) and defaults to one state.  States lie
     outside the sources, so each budget shift moves contiguous runs.  With
     ``reverse`` the pass runs on the reversed graph, so ``val[v]`` is the
-    longest path from v to the source.
+    longest path from v to the source.  An entry is finite exactly when a
+    path joins the pair (weights are finite), which is the reachability the
+    matrices built on it return.
     """
     if reverse:
         ptr, src = g._reverse_csr()
@@ -309,6 +318,16 @@ def sweep_matrix(g: PrecedenceGraph, w_nom, w_dev=None, layout=None) -> np.ndarr
     return values
 
 
+def _as_matrix(values: np.ndarray) -> LongestPathMatrix:
+    """The relation of a swept matrix: its finite entries off the diagonal.
+
+    Weights are finite, so a value is finite exactly when a path joins the
+    pair; only the diagonal holds the zero each source starts from.
+    """
+    np.fill_diagonal(values, -np.inf)
+    return LongestPathMatrix(values=values, reach=values > -np.inf)
+
+
 def single_source_longest(
     g: PrecedenceGraph, source: int, weights: Sequence[float] | None = None
 ) -> np.ndarray:
@@ -324,11 +343,11 @@ def _longest_to_sink(g: PrecedenceGraph, weights: Sequence[float] | None = None)
 def all_pairs_longest(
     g: PrecedenceGraph, weights: Sequence[float] | None = None
 ) -> LongestPathMatrix:
-    """Nominal longest-path matrix for the given duration vector."""
-    values = sweep_matrix(g, g.node_weights(weights))
-    reach = g.reachability()
-    values[~reach] = -np.inf
-    return LongestPathMatrix(values=values, reach=reach)
+    """Nominal longest-path matrix for the given duration vector.
+
+    ``reach`` is read off the finite values (see ``_as_matrix``).
+    """
+    return _as_matrix(sweep_matrix(g, g.node_weights(weights)))
 
 
 def earliest_schedule(

@@ -51,6 +51,7 @@ from .graph import (
     S,
     LongestPathMatrix,
     PrecedenceGraph,
+    _as_matrix,
     path_sweep,
     single_source_longest,
     sweep_matrix,
@@ -66,6 +67,8 @@ ENUM_MAX_GAMMA = 3
 
 def _as_nonneg(vec, what: str) -> tuple[float, ...]:
     arr = tuple(float(v) for v in vec)
+    if not all(math.isfinite(v) for v in arr):
+        raise ValueError(f"{what} must be finite")
     if any(v < 0 for v in arr):
         raise ValueError(f"{what} must be nonnegative")
     return arr
@@ -103,9 +106,11 @@ class OneDisruption:
     dhat0: float
 
     def __post_init__(self):
+        object.__setattr__(self, "dhat0", float(self.dhat0))
+        if not math.isfinite(self.dhat0):
+            raise ValueError("dhat0 must be finite")
         if self.dhat0 < 0:
             raise ValueError("dhat0 must be nonnegative")
-        object.__setattr__(self, "dhat0", float(self.dhat0))
 
 
 @dataclass(frozen=True)
@@ -333,9 +338,13 @@ def _partition_matrix(g: PrecedenceGraph, delta: PartitionBudgeted) -> np.ndarra
 
 
 def worst_case_longest_paths(g: PrecedenceGraph, delta: UncertaintySet) -> LongestPathMatrix:
-    """Worst-case longest-path matrix LD over the set, on comparable pairs."""
+    """Worst-case longest-path matrix LD over the set, on comparable pairs.
+
+    ``reach`` is read off the finite values (see ``graph._as_matrix``): the
+    nominal state is always swept, so for every set they are finite exactly
+    on the transitive closure.
+    """
     d = normalize(delta, g.n)
-    reach = g.reachability()
     if isinstance(d, Box):
         values = sweep_matrix(g, g.p + _dev_full(g, d.dhat))
     elif isinstance(d, Budgeted):
@@ -352,8 +361,7 @@ def worst_case_longest_paths(g: PrecedenceGraph, delta: UncertaintySet) -> Longe
             np.maximum(values, sweep_matrix(g, g.p + _dev_full(g, sc)), out=values)
     else:  # pragma: no cover - exhaustive over the union type
         raise UnsupportedUncertainty(f"unknown uncertainty set {type(d).__name__}")
-    values[~reach] = -np.inf
-    return LongestPathMatrix(values=values, reach=reach)
+    return _as_matrix(values)
 
 
 # ---------------------------------------------------------------------------

@@ -202,6 +202,16 @@ def test_solve_exit_codes(tmp_path, capsys, fig_budget, fig_box):
     assert console_main(["solve", str(tmp_path / "absent.json")]) == 4
 
 
+def test_solve_rejects_non_finite_data(tmp_path, capsys, fig_budget):
+    # json writes and reads NaN; the instance must not solve to a number
+    data = asd.instance_to_dict(dataclasses.replace(fig_budget, meta=VALID_META))
+    for field, value in (("deadline", math.nan), ("p", [math.nan] * fig_budget.n)):
+        path = tmp_path / f"{field}.json"
+        path.write_text(json.dumps(dict(data, **{field: value})))
+        assert console_main(["solve", str(path)]) == 4
+        assert "finite" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # bench
 # ---------------------------------------------------------------------------

@@ -26,6 +26,9 @@ def test_validation_errors():
         asd.PrecedenceGraph(2, [(0, 1), (1, 3)], [1.0])  # p length mismatch
     with pytest.raises(ValueError):
         asd.PrecedenceGraph(1, [(0, 1), (1, 2)], [-1.0])  # negative time
+    for bad in (math.nan, math.inf):  # NaN would make successors unreachable
+        with pytest.raises(ValueError, match="finite"):
+            asd.PrecedenceGraph(2, [(0, 1), (1, 2), (2, 3)], [1.0, bad])
     with pytest.raises(ValueError):
         asd.PrecedenceGraph(1, [(0, 1), (1, 2), (1, 1)], [1.0])  # self loop
     with pytest.raises(ValueError):

@@ -282,6 +282,15 @@ def _valid_payload():
         lambda d: d["meta"].pop("seed"),
         lambda d: d["meta"].update(surprise=1),
         lambda d: d.update(weights="heavy"),
+        # non-finite numbers: JSON NaN and Infinity parse to floats
+        lambda d: d["p"].__setitem__(0, float("nan")),
+        lambda d: d["p"].__setitem__(0, float("inf")),
+        lambda d: d["weights"].__setitem__(0, float("nan")),
+        lambda d: d["weights"].__setitem__(0, float("inf")),
+        lambda d: d.update(deadline=float("nan")),
+        lambda d: d.update(deadline=float("inf")),
+        lambda d: d["uncertainty"]["dhat"].__setitem__(0, float("nan")),
+        lambda d: d.update(uncertainty={"type": "one_disruption", "dhat0": float("inf")}),
     ],
 )
 def test_instance_from_dict_rejects(mutate):

@@ -9,6 +9,7 @@ import numpy as np
 import anchorsched as asd
 from anchorsched import _kernels
 from anchorsched.anchored import _mask_arrays
+from anchorsched.instances import gen_sp
 
 from .oracles import random_dag, sweep_layout
 
@@ -87,30 +88,52 @@ def _random_layout(rng, g, kind):
     return sweep_layout(group_of, rng.integers(1, 4, k) + 1)
 
 
+def _sweep_branches(ptr, src, group_of, stride, n_src):
+    """The branches of ``_sweep_vec`` that a sweep takes."""
+    if len(stride) == 0 and n_src == 1:
+        return {"one-source"}
+    arcs = np.diff(ptr)
+    out = {"one-arc"} if (arcs == 1).any() else set()
+    for v in np.flatnonzero(arcs > 1):
+        grouped = len(stride) and (group_of[src[ptr[v] : ptr[v + 1]]] >= 0).any()
+        out.add("grouped" if grouped else "take")
+    return out
+
+
 def test_sweep_vec_matches_loop():
     rng = np.random.default_rng(11)
-    seen = set()
-    for trial in range(240):
+    seen, branches = set(), set()
+    for trial in range(480):
         n = int(rng.integers(1, 9))
         m = n + 2
-        g = asd.PrecedenceGraph(n, random_dag(rng, n), rng.uniform(0.0, 5.0, n))
-        ptr, src = g._incoming_csr()
-        topo = np.asarray(asd.topological_order(g), dtype=np.int64)
-        w_dev = g.p + rng.uniform(0.0, 3.0, m) * (rng.random(m) < 0.7)
+        if trial % 8 < 4:
+            g = asd.PrecedenceGraph(n, random_dag(rng, n), np.zeros(n))
+        else:  # series-parallel: most nodes have one incoming arc
+            g = gen_sp(n, trial)
+        if trial % 2:  # the reversed graph, as ``path_sweep(reverse=True)`` runs it
+            (ptr, src), topo = g._reverse_csr(), g._topo[::-1]
+            tails = g._rev_heads
+        else:
+            (ptr, src), topo = g._incoming_csr(), g._topo
+            tails = src
+        w_nom = rng.uniform(0.0, 5.0, m)
+        w_dev = w_nom + rng.uniform(0.0, 3.0, m) * (rng.random(m) < 0.7)
         kind = trial % 3
         layout = _random_layout(rng, g, kind)
-        if trial % 2:
+        if trial % 4 < 2:
             sources = [int(rng.integers(0, m))]
         else:  # a chunk of sources, in any order
             sources = rng.permutation(m)[: int(rng.integers(2, m + 1))]
-        args = (topo, ptr, src, g.p[src], w_dev[src], *layout,
-                np.asarray(sources, dtype=np.int64))
+        args = (np.asarray(topo, dtype=np.int64), ptr, src, w_nom[tails], w_dev[tails],
+                *layout, np.asarray(sources, dtype=np.int64))
         want = _kernels._sweep_loop(*args)
         got = _kernels._sweep_vec(*args)
         assert got.shape == (m, layout[3], len(sources)), trial
         assert np.array_equal(got, want), trial
         seen.add((kind, len(sources) == 1))
+        branches |= _sweep_branches(ptr, src, layout[0], layout[1], len(sources))
     assert len(seen) == 6  # every layout, with one source and with a chunk
+    assert branches == {"one-source", "one-arc", "take", "grouped"}
 
 
 def _random_instance(rng, n):

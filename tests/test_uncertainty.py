@@ -40,6 +40,22 @@ def test_set_validation():
         asd.PartitionBudgeted((1.0, 1.0), ((1,), (2,)), (1, 2))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_sets_reject_non_finite_deviations(bad):
+    dhat = (1.0, bad)
+    builders = [
+        lambda: asd.Box(dhat),
+        lambda: asd.Budgeted(dhat, 1),
+        lambda: asd.PartitionBudgeted(dhat, ((1,), (2,)), (1, 1)),
+        lambda: asd.MixedBudgeted((asd.Budgeted(dhat, 1),)),
+        lambda: asd.Scenarios(((1.0, 1.0), dhat)),
+        lambda: asd.OneDisruption(bad),
+    ]
+    for build in builders:
+        with pytest.raises(ValueError):
+            build()
+
+
 def test_normalize_one_disruption():
     d = asd.normalize(asd.OneDisruption(0.5), 4)
     assert isinstance(d, asd.Budgeted)
@@ -117,6 +133,31 @@ def test_worst_case_paths_random_budgeted():
         for i, j in mat.pairs():
             want = worst_case_length(g, delta, i, j)
             assert mat.values[i, j] == pytest.approx(want, abs=1e-9)
+
+
+def test_matrix_reach_is_the_transitive_closure():
+    # both matrices read reach off their own finite values
+    rng = np.random.default_rng(17)
+    for trial in range(30):
+        n = int(rng.integers(1, 10))
+        arcs = random_dag(rng, n, density=float(rng.uniform(0.1, 0.8)))
+        g = asd.PrecedenceGraph(n, arcs, rng.integers(0, 4, n).astype(float))
+        dhat = tuple(rng.integers(0, 3, n).astype(float))
+        cut = n // 2
+        parts = tuple(p for p in (tuple(range(1, cut + 1)), tuple(range(cut + 1, n + 1))) if p)
+        sets = [
+            asd.Box(dhat),
+            asd.Budgeted(dhat, int(rng.integers(1, n + 1))),
+            asd.OneDisruption(float(rng.integers(0, 3))),
+            asd.PartitionBudgeted(dhat, parts, tuple(1 for _ in parts)),
+            asd.MixedBudgeted((asd.Budgeted(dhat, 1), asd.Budgeted(dhat[::-1], n))),
+            asd.Scenarios((dhat, dhat[::-1])),
+        ]
+        want = g.reachability()
+        assert np.array_equal(asd.all_pairs_longest(g, g.p).reach, want), trial
+        for delta in sets:
+            ld = asd.worst_case_longest_paths(g, delta)
+            assert np.array_equal(ld.reach, want), (trial, delta)
 
 
 def _uncapped_ld(g, delta):
